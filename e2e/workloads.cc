@@ -237,30 +237,39 @@ class ColdStart : public Workload {
                     std::to_string(bench.test.size()) + " " +
                     std::to_string(bench.bootstrap_triples) + "\n";
 
+    // The batch is linked twice. A mention's latency is the better of its
+    // two calls, and the second call must choose the same unit.
+    std::vector<std::string> linked(mentions_.size());
+    r.op_ms.resize(mentions_.size());
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < mentions_.size(); ++i) {
+        const double t0 = NowS();
+        std::vector<linking::LinkCandidate> candidates;
+        {
+          Tracer::Scope span(tracer, "linking.link");
+          candidates = linker->Link(mentions_[i].text, mentions_[i].context);
+        }
+        const double ms = (NowS() - t0) * 1e3;
+        r.op_ms[i] = pass == 0 ? ms : std::min(r.op_ms[i], ms);
+        const std::string top =
+            candidates.empty()
+                ? "-"
+                : std::string(kb->Get(candidates.front().unit).id);
+        if (pass == 0) linked[i] = top;
+        if (linked[i] != top) r.check_error = "a repeated link changed unit";
+      }
+    }
     std::size_t correct = 0;
-    for (const Mention& m : mentions_) {
-      const double t0 = NowS();
-      std::vector<linking::LinkCandidate> candidates;
-      {
-        Tracer::Scope span(tracer, "linking.link");
-        candidates = linker->Link(m.text, m.context);
-      }
-      const double dt = NowS() - t0;
-      r.op_ms.push_back(dt * 1e3);
-      r.item_seconds += dt;
-      if (candidates.empty()) {
-        ++r.failed;
-        r.digest_text += "-\n";
-        continue;
-      }
-      const std::string_view linked = kb->Get(candidates.front().unit).id;
-      r.digest_text.append(linked).append("\n");
-      if (linked == m.gold_id) ++correct;
+    for (std::size_t i = 0; i < mentions_.size(); ++i) {
+      r.digest_text += linked[i] + "\n";
+      r.item_seconds += r.op_ms[i] / 1e3;
+      if (linked[i] == "-") ++r.failed;
+      if (linked[i] == mentions_[i].gold_id) ++correct;
     }
     r.items = r.attempted = mentions_.size();
     r.quality =
         Ratio(static_cast<double>(correct), static_cast<double>(r.items));
-    r.layer["linking.link_calls"] = static_cast<double>(r.attempted);
+    r.layer["linking.link_calls"] = 2.0 * static_cast<double>(r.attempted);
     r.layer["linking.no_candidate_ratio"] =
         Ratio(static_cast<double>(r.failed), static_cast<double>(r.attempted));
     if (bench.test.empty()) r.check_error = "DimEval has no test instances";
@@ -279,8 +288,9 @@ class ColdStart : public Workload {
 /// DimPerc fine-tuning: a fixed number of TrainSteps(1) calls on
 /// TrainDimPerc's example mix, then the DimPerc DimEval row. The World and
 /// DimEval build are set-up. The training stream does not depend on the
-/// seed: after 120 steps the macro F1 moves by 4x with the example order,
-/// which would make the quality metric useless as a check.
+/// seed: this early in training the macro F1 moves by 4x with the example
+/// order (0.04 to 0.18 at 120 steps), which would make the quality metric
+/// useless as a check.
 class Finetune : public Workload {
  public:
   Finetune(std::uint64_t /*seed*/, bool tiny) : tiny_(tiny) {}
@@ -319,7 +329,7 @@ class Finetune : public Workload {
       model = OrDie(solver::Seq2SeqModel::Create("DimPerc", examples_, config),
                     "Seq2SeqModel::Create");
     }
-    const int steps = tiny_ ? 3 : 120;
+    const int steps = tiny_ ? 3 : 60;
     double loss = 0.0;
     for (int s = 0; s < steps; ++s) {
       const double t0 = NowS();
