@@ -114,54 +114,6 @@ std::vector<double> Tracer::Durations(std::string_view name) const {
   return out;
 }
 
-std::size_t Tracer::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
-std::string Tracer::Breakdown() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Child intervals per parent, clipped to the parent; self time is the
-  // parent's duration minus their union (children may overlap when they
-  // ran on several threads).
-  std::vector<std::vector<std::pair<double, double>>> children(spans_.size());
-  for (const Span& s : spans_) {
-    if (s.parent < 0) continue;
-    const Span& p = spans_[static_cast<std::size_t>(s.parent)];
-    children[static_cast<std::size_t>(s.parent)].emplace_back(
-        std::max(s.begin_s, p.begin_s), std::min(s.end_s, p.end_s));
-  }
-  struct Row {
-    std::size_t count = 0;
-    double total = 0.0;
-    double self = 0.0;
-  };
-  std::map<std::string, Row> rows;
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const Span& s = spans_[i];
-    std::vector<std::pair<double, double>>& kids = children[i];
-    std::sort(kids.begin(), kids.end());
-    double covered = 0.0, reach = s.begin_s;
-    for (const auto& [b, e] : kids) {
-      const double from = std::max(b, reach);
-      if (e > from) covered += e - from;
-      reach = std::max(reach, e);
-    }
-    Row& row = rows[s.name];
-    ++row.count;
-    row.total += s.end_s - s.begin_s;
-    row.self += (s.end_s - s.begin_s) - covered;
-  }
-  std::string out;
-  char line[160];
-  for (const auto& [name, row] : rows) {
-    std::snprintf(line, sizeof(line), "%-24s %9zu %12.6f %12.6f\n",
-                  name.c_str(), row.count, row.total, row.self);
-    out += line;
-  }
-  return out;
-}
-
 bool Tracer::WriteChromeJson(const std::string& path) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ofstream out(path);

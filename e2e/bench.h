@@ -79,11 +79,7 @@ class Tracer {
   double PerPhaseSeconds(std::string_view name) const;
   /// Durations of every span named `name`, in seconds.
   std::vector<double> Durations(std::string_view name) const;
-  std::size_t size() const;
 
-  /// Per span name: count, total seconds, and self seconds (duration
-  /// minus the union of its children's intervals), one line each.
-  std::string Breakdown() const;
   /// Writes the spans as Chrome trace-event JSON (Perfetto,
   /// chrome://tracing). Returns false when the file cannot be written.
   bool WriteChromeJson(const std::string& path) const;
@@ -104,9 +100,12 @@ struct IterResult {
   std::string digest_text;
   /// The workload's quality metric (accuracy, macro F1, agreement).
   double quality = 0.0;
-  /// Units of work of the throughput metric, and the seconds they took.
+  /// Units of work of the throughput metric.
   std::uint64_t items = 0;
-  double item_seconds = 0.0;
+  /// Seconds the items took when the ops ran concurrently; 0 when the ops
+  /// ran one after another, so that the items' best time is the sum of each
+  /// op's best time over the iterations.
+  double concurrent_item_seconds = 0.0;
   /// Operations attempted and failed (no candidate, declined, dropped).
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;

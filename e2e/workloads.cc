@@ -25,11 +25,11 @@
 #include "linking/annotator.h"
 #include "linking/linker.h"
 #include "lm/transformer.h"
-#include "lm/vocab.h"
 #include "mwp/augment.h"
 #include "mwp/equation.h"
 #include "mwp/generator.h"
 #include "mwp/slotting.h"
+#include "serve/loadgen.h"
 #include "serve/report.h"
 #include "serve/server.h"
 #include "solver/dimperc.h"
@@ -262,7 +262,6 @@ class ColdStart : public Workload {
     std::size_t correct = 0;
     for (std::size_t i = 0; i < mentions_.size(); ++i) {
       r.digest_text += linked[i] + "\n";
-      r.item_seconds += r.op_ms[i] / 1e3;
       if (linked[i] == "-") ++r.failed;
       if (linked[i] == mentions_[i].gold_id) ++correct;
     }
@@ -329,7 +328,8 @@ class Finetune : public Workload {
       model = OrDie(solver::Seq2SeqModel::Create("DimPerc", examples_, config),
                     "Seq2SeqModel::Create");
     }
-    const int steps = tiny_ ? 3 : 60;
+    // 100 steps leave 10 beyond the step-time p90.
+    const int steps = tiny_ ? 3 : 100;
     double loss = 0.0;
     for (int s = 0; s < steps; ++s) {
       const double t0 = NowS();
@@ -337,12 +337,10 @@ class Finetune : public Workload {
         Tracer::Scope span(tracer, "solver.train_step");
         loss = OrDie(model->TrainSteps(1), "TrainSteps");
       }
-      const double dt = NowS() - t0;
-      r.op_ms.push_back(dt * 1e3);
-      r.item_seconds += dt;
+      r.op_ms.push_back((NowS() - t0) * 1e3);
     }
-    r.items = r.attempted = static_cast<std::uint64_t>(steps) *
-                            static_cast<std::uint64_t>(config.batch_size);
+    r.items = static_cast<std::uint64_t>(steps) *
+              static_cast<std::uint64_t>(config.batch_size);
     r.layer["solver.train_steps"] = steps;
     r.layer["dimeval.instances"] =
         static_cast<double>(bench_->train.size() + bench_->test.size());
@@ -359,13 +357,17 @@ class Finetune : public Workload {
     }
     AddPrefixCacheStats(before, model->prefix_cache_stats(), r);
 
+    // Attempts are the training examples and the row's choice questions; a
+    // declined choice answer is a failure.
     double f1_sum = 0.0;
     std::size_t declined = 0;
+    r.attempted = r.items;
     r.digest_text = "loss " + Bits(loss) + "\n";
     for (const char* task : eval::DimEvalChoiceTasks()) {
       const eval::ChoiceMetrics& m = row.choice[task];
       f1_sum += m.F1();
       declined += m.total - m.answered;
+      r.attempted += m.total;
       if (m.incomplete) r.check_error = std::string("task incomplete: ") + task;
       r.digest_text += std::string(task) + " " + std::to_string(m.total) + " " +
                        std::to_string(m.answered) + " " +
@@ -374,6 +376,7 @@ class Finetune : public Workload {
     r.digest_text += "extraction " + Bits(row.qe_f1) + " " + Bits(row.ve_f1) +
                      " " + Bits(row.ue_f1) + "\n";
     r.quality = f1_sum / static_cast<double>(eval::DimEvalChoiceTasks().size());
+    r.failed = declined;
     r.layer["eval.declined"] = static_cast<double>(declined);
     if (!std::isfinite(loss)) r.check_error = "training loss is not finite";
     if (!tiny_ && r.quality <= 0.0) r.check_error = "DimPerc macro F1 is 0";
@@ -530,7 +533,7 @@ class EvalDecode : public Workload {
     }
     r.items = r.attempted = timed->answers;
     r.failed = timed->declined;
-    r.item_seconds = wall;
+    r.concurrent_item_seconds = wall;
     r.layer["eval.declined"] = static_cast<double>(timed->declined);
     r.layer["eval.self_cpu_s"] = cpu - timed->model_cpu_s;
     r.layer["eval.worker_busy_ratio"] =
@@ -585,51 +588,11 @@ class EvalDecode : public Workload {
 
 // --- serve_burst -----------------------------------------------------------
 
-/// Seeded bursty traces: every episode is an open-loop arrival schedule on
-/// the tick clock (bursts of 1..8 requests, then a 1..6 tick gap), and
-/// prompts are one of four shared stems plus a unique tail.
-std::vector<std::vector<serve::ServeRequest>> GenerateEpisodes(
-    std::uint64_t seed, int episodes, int requests, int vocab) {
-  const std::uint64_t stream = Rng::DeriveSeed(seed, "e2e.serve");
-  Rng stem_rng(Rng::DeriveSeed(stream, "stems"));
-  std::vector<std::vector<int>> stems(4);
-  for (std::vector<int>& stem : stems) {
-    stem.push_back(lm::SpecialTokens::kBos);
-    for (int t = 1; t < 40; ++t) {
-      stem.push_back(static_cast<int>(
-          stem_rng.UniformInt(lm::SpecialTokens::kCount, vocab - 1)));
-    }
-  }
-  std::vector<std::vector<serve::ServeRequest>> out(
-      static_cast<std::size_t>(episodes));
-  for (int e = 0; e < episodes; ++e) {
-    Rng rng = Rng::ForStream(stream, static_cast<std::uint64_t>(e));
-    std::uint64_t tick = 0;
-    for (int id = 0; id < requests;) {
-      const auto burst = rng.UniformInt(1, 8);
-      for (std::int64_t b = 0; b < burst && id < requests; ++b, ++id) {
-        serve::ServeRequest request;
-        request.id = static_cast<std::uint64_t>(id);
-        request.arrival_tick = tick;
-        request.seed = rng.engine()();
-        request.prompt = stems[rng.Index(stems.size())];
-        const auto tail = rng.UniformInt(1, 12);
-        for (std::int64_t t = 0; t < tail; ++t) {
-          request.prompt.push_back(static_cast<int>(
-              rng.UniformInt(lm::SpecialTokens::kCount, vocab - 1)));
-        }
-        request.max_new_tokens = 16;
-        request.priority = static_cast<serve::Priority>(rng.UniformInt(0, 2));
-        out[static_cast<std::size_t>(e)].push_back(std::move(request));
-      }
-      tick += static_cast<std::uint64_t>(rng.UniformInt(1, 6));
-    }
-  }
-  return out;
-}
-
 /// Continuous batching: serve::Server::Run over seeded bursty episodes, on
-/// a fixed-seed Transformer at DimPerc's shapes.
+/// a fixed-seed Transformer at DimPerc's shapes. Each episode is a
+/// serve::GenerateLoad trace with serve_loadgen's shape (bursty open-loop
+/// arrivals on the tick clock, shared prompt stems plus unique tails) on the
+/// model's vocabulary.
 class ServeBurst : public Workload {
  public:
   ServeBurst(std::uint64_t seed, bool tiny) : seed_(seed), tiny_(tiny) {}
@@ -645,8 +608,14 @@ class ServeBurst : public Workload {
           OrDie(lm::Transformer::Create(arch), "Transformer::Create"));
     }
     Tracer::Scope span(tracer, "e2e.inputs");
-    episodes_ = GenerateEpisodes(seed_, tiny_ ? 2 : 12, tiny_ ? 6 : 24,
-                                 arch.vocab_size);
+    serve::LoadGenConfig load;
+    load.vocab_size = arch.vocab_size;
+    if (tiny_) load.num_requests = 6;
+    const std::uint64_t stream = Rng::DeriveSeed(seed_, "e2e.serve");
+    for (int e = 0; e < (tiny_ ? 2 : 12); ++e) {
+      load.seed = Rng::SplitSeed(stream, static_cast<std::uint64_t>(e));
+      episodes_.push_back(serve::GenerateLoad(load));
+    }
   }
 
   std::string InputsText() const override {
@@ -677,9 +646,7 @@ class ServeBurst : public Workload {
         Tracer::Scope span(tracer, "serve.run");
         outcomes = OrDie(server.Run(episode), "Server::Run");
       }
-      const double dt = NowS() - t0;
-      r.op_ms.push_back(dt * 1e3);
-      r.item_seconds += dt;
+      r.op_ms.push_back((NowS() - t0) * 1e3);
       r.digest_text += serve::FormatJournal(outcomes);
       const serve::ServerStats& s = server.stats();
       total.rounds += s.rounds;
