@@ -1,5 +1,7 @@
 #include "bench.h"
 
+#include <dirent.h>
+#include <sched.h>
 #include <sys/resource.h>
 #include <time.h>
 
@@ -7,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <set>
@@ -42,6 +45,40 @@ double PeakRssMb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+}
+
+CpuRotation::CpuRotation(int width) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &allowed)) cpus_.push_back(cpu);
+    }
+  }
+  width_ = std::min<std::size_t>(static_cast<std::size_t>(std::max(width, 1)),
+                                 cpus_.size());
+}
+
+void CpuRotation::Next() {
+  if (width_ == 0 || width_ == cpus_.size()) return;
+  cpu_set_t window;
+  CPU_ZERO(&window);
+  for (std::size_t k = 0; k < width_; ++k) {
+    CPU_SET(cpus_[(next_ + k) % cpus_.size()], &window);
+  }
+  next_ = (next_ + 1) % cpus_.size();
+  // Threads started later (the parallel pool's workers) inherit the window
+  // from the thread that starts them.
+  DIR* tasks = opendir("/proc/self/task");
+  if (tasks == nullptr) {
+    sched_setaffinity(0, sizeof(window), &window);
+    return;
+  }
+  while (const dirent* entry = readdir(tasks)) {
+    const int tid = std::atoi(entry->d_name);
+    if (tid > 0) sched_setaffinity(tid, sizeof(window), &window);
+  }
+  closedir(tasks);
 }
 
 double Percentile(std::vector<double> samples, double p) {

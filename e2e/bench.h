@@ -26,6 +26,23 @@ double ThreadCpuS();
 /// Peak resident set size of the process so far, in MiB.
 double PeakRssMb();
 
+/// \brief Moves the process's threads over the CPUs it may run on, one
+/// window of `width` CPUs per call. Linux leaves a busy thread on one CPU for
+/// a whole run, and on a shared host each CPU has its own noisy neighbour, so
+/// without this one CPU sets a whole run's timings. Successive phases of a
+/// run instead sample every CPU in turn.
+class CpuRotation {
+ public:
+  explicit CpuRotation(int width);
+  /// Pins every thread of the process to the next window of CPUs.
+  void Next();
+
+ private:
+  std::vector<int> cpus_;
+  std::size_t width_;
+  std::size_t next_ = 0;
+};
+
 /// Nearest-rank percentile (`p` in (0, 100]) of unsorted samples; 0 when
 /// empty.
 double Percentile(std::vector<double> samples, double p);
@@ -103,10 +120,10 @@ struct IterResult {
   /// Units of work of the throughput metric.
   std::uint64_t items = 0;
   /// Seconds the items took when the ops ran concurrently; 0 when the ops
-  /// ran one after another, so that the items' best time is the sum of each
-  /// op's best time over the iterations.
+  /// ran one after another, so that the items' time is the sum of each op's
+  /// median time over the iterations.
   double concurrent_item_seconds = 0.0;
-  /// Operations attempted and failed (no candidate, declined, dropped).
+  /// Operations attempted and failed (declined or dropped).
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
   /// Latency of each operation, in milliseconds.
@@ -140,7 +157,7 @@ struct WorkloadSpec {
   std::unique_ptr<Workload> (*make)(std::uint64_t seed, bool tiny);
 };
 
-/// The four workloads, in the order BENCHMARK.json lists them.
+/// The workloads, in the order BENCHMARK.json lists them.
 const std::vector<WorkloadSpec>& Workloads();
 
 }  // namespace dimqr::e2e

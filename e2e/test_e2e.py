@@ -23,7 +23,6 @@ NAME = re.compile(r"[A-Za-z0-9_.-]+\Z")
 WORKLOADS = [w["name"] for w in BENCH["workloads"]]
 # Metrics each workload's report names besides the BENCHMARK.json ones.
 NAMED = {
-    "cold_start": ["link_mentions_per_s", "link_top1_acc"],
     "finetune": ["train_examples_per_s", "dimperc_macro_f1"],
     "eval_decode": ["answers_per_s", "answer_ms_p50", "answer_ms_p99",
                     "mwp_accuracy"],

@@ -1,10 +1,9 @@
-// The four end-to-end workloads. Each one feeds the library only inputs
+// The end-to-end workloads. Each one feeds the library only inputs
 // generated here from the run's seed, times calls into public functions of
 // the src/ modules from the outside, and checks its own outputs.
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -128,159 +127,6 @@ void AddPrefixCacheStats(const lm::PrefixCache::Stats& before,
       Ratio(result.layer["lm.prefix_cache_hits"],
             result.layer["lm.prefix_cache_lookups"]);
 }
-
-// --- cold_start ------------------------------------------------------------
-
-/// A unit mention with its context words and the unit it was made from.
-struct Mention {
-  std::string text;
-  std::string context;
-  std::string gold_id;
-};
-
-bool IsPlainWord(std::string_view s) {
-  return std::all_of(s.begin(), s.end(), [](unsigned char c) {
-    return std::isalpha(c) != 0 || c == ' ';
-  });
-}
-
-/// Seeded mentions of the most frequent non-compound units (the pool the
-/// DimEval generators sample): a label, symbol or alias, with labels
-/// perturbed the way text writes them (capitalized, plural, one letter
-/// dropped), plus a few of the unit's keywords as context.
-std::vector<Mention> GenerateMentions(const kb::DimUnitKB& kb,
-                                      std::uint64_t seed, int count) {
-  std::vector<UnitId> pool;
-  for (UnitId id : kb.UnitsByFrequency()) {
-    if (kb.Get(id).origin == kb::UnitOrigin::kCompound) continue;
-    pool.push_back(id);
-    if (pool.size() == 320) break;
-  }
-  static const char* const kFiller[] = {"the",   "value", "was",  "about",
-                                        "each",  "sample", "measured", "total"};
-  const std::uint64_t stream = Rng::DeriveSeed(seed, "e2e.mentions");
-  std::vector<Mention> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    Rng rng = Rng::ForStream(stream, static_cast<std::uint64_t>(i));
-    const kb::UnitRecord& unit = kb.Get(pool[rng.Index(pool.size())]);
-    std::vector<std::string_view> forms = {unit.label_en};
-    for (std::string_view s : unit.symbols) forms.push_back(s);
-    for (std::string_view s : unit.aliases) forms.push_back(s);
-    std::erase_if(forms, [](std::string_view s) { return s.empty(); });
-    Mention m;
-    m.text = std::string(forms[rng.Index(forms.size())]);
-    if (m.text.size() >= 5 && IsPlainWord(m.text)) {
-      switch (rng.Index(4)) {
-        case 1:
-          m.text[0] = static_cast<char>(std::toupper(m.text[0]));
-          break;
-        case 2:
-          m.text += 's';
-          break;
-        case 3:
-          if (m.text.size() >= 8) {
-            m.text.erase(1 + rng.Index(m.text.size() - 2), 1);
-          }
-          break;
-        default:
-          break;
-      }
-    }
-    for (int w = 0; w < 4; ++w) {
-      if (!m.context.empty()) m.context += ' ';
-      if (!unit.keywords.empty() && rng.Bernoulli(0.6)) {
-        m.context += unit.keywords[rng.Index(unit.keywords.size())];
-      } else {
-        m.context += kFiller[rng.Index(std::size(kFiller))];
-      }
-    }
-    m.gold_id = std::string(unit.id);
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
-/// What every table binary pays before a model exists: KB, linker (SGNS
-/// inside), DimEval, then a batch of unit links.
-class ColdStart : public Workload {
- public:
-  ColdStart(std::uint64_t seed, bool tiny) : seed_(seed), tiny_(tiny) {}
-
-  void Setup(Tracer& tracer) override {
-    std::shared_ptr<const kb::DimUnitKB> kb = BuildKb(tracer);
-    Tracer::Scope span(tracer, "e2e.inputs");
-    mentions_ = GenerateMentions(*kb, seed_, tiny_ ? 24 : 800);
-  }
-
-  std::string InputsText() const override {
-    std::string text;
-    for (const Mention& m : mentions_) {
-      text += m.text + '\t' + m.context + '\t' + m.gold_id + '\n';
-    }
-    return text;
-  }
-
-  IterResult Run(Tracer& tracer) override {
-    IterResult r;
-    std::shared_ptr<const kb::DimUnitKB> kb = BuildKb(tracer);
-    std::shared_ptr<const linking::UnitLinker> linker =
-        BuildLinker(tracer, kb, tiny_);
-    linking::DimKsAnnotator annotator(linker);
-    dimeval::DimEvalBenchmark bench =
-        BuildDimEval(tracer, kb, annotator, tiny_);
-    r.layer["dimeval.instances"] =
-        static_cast<double>(bench.train.size() + bench.test.size());
-    r.layer["dimeval.bootstrap_triples"] =
-        static_cast<double>(bench.bootstrap_triples);
-    r.digest_text = "dimeval " + std::to_string(bench.train.size()) + " " +
-                    std::to_string(bench.test.size()) + " " +
-                    std::to_string(bench.bootstrap_triples) + "\n";
-
-    // The batch is linked twice. A mention's latency is the better of its
-    // two calls, and the second call must choose the same unit.
-    std::vector<std::string> linked(mentions_.size());
-    r.op_ms.resize(mentions_.size());
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t i = 0; i < mentions_.size(); ++i) {
-        const double t0 = NowS();
-        std::vector<linking::LinkCandidate> candidates;
-        {
-          Tracer::Scope span(tracer, "linking.link");
-          candidates = linker->Link(mentions_[i].text, mentions_[i].context);
-        }
-        const double ms = (NowS() - t0) * 1e3;
-        r.op_ms[i] = pass == 0 ? ms : std::min(r.op_ms[i], ms);
-        const std::string top =
-            candidates.empty()
-                ? "-"
-                : std::string(kb->Get(candidates.front().unit).id);
-        if (pass == 0) linked[i] = top;
-        if (linked[i] != top) r.check_error = "a repeated link changed unit";
-      }
-    }
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < mentions_.size(); ++i) {
-      r.digest_text += linked[i] + "\n";
-      if (linked[i] == "-") ++r.failed;
-      if (linked[i] == mentions_[i].gold_id) ++correct;
-    }
-    r.items = r.attempted = mentions_.size();
-    r.quality =
-        Ratio(static_cast<double>(correct), static_cast<double>(r.items));
-    r.layer["linking.link_calls"] = 2.0 * static_cast<double>(r.attempted);
-    r.layer["linking.no_candidate_ratio"] =
-        Ratio(static_cast<double>(r.failed), static_cast<double>(r.attempted));
-    if (bench.test.empty()) r.check_error = "DimEval has no test instances";
-    if (r.quality < 0.5) r.check_error = "link top-1 accuracy below 0.5";
-    return r;
-  }
-
- private:
-  std::uint64_t seed_;
-  bool tiny_;
-  std::vector<Mention> mentions_;
-};
 
 // --- finetune --------------------------------------------------------------
 
@@ -718,8 +564,6 @@ std::unique_ptr<Workload> Make(std::uint64_t seed, bool tiny) {
 
 const std::vector<WorkloadSpec>& Workloads() {
   static const std::vector<WorkloadSpec> kSpecs = {
-      {"cold_start", 1, "link_mentions_per_s", "link_ms", "link_top1_acc",
-       &Make<ColdStart>},
       {"finetune", 1, "train_examples_per_s", "train_step_ms",
        "dimperc_macro_f1", &Make<Finetune>},
       {"eval_decode", 2, "answers_per_s", "answer_ms", "mwp_accuracy",
