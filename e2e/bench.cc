@@ -47,6 +47,24 @@ double PeakRssMb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 
+double ClockGhz() {
+#if defined(__x86_64__)
+  constexpr int kMultiplies = 100000;
+  double best_s = 0.0;
+  for (int sample = 0; sample < 5; ++sample) {
+    std::uint64_t x = 3;
+    const double t0 = NowS();
+    for (int i = 0; i < kMultiplies; ++i) asm volatile("imul %0, %0" : "+r"(x));
+    const double s = NowS() - t0;
+    // An interrupt or a preemption only lengthens a sample.
+    if (sample == 0 || s < best_s) best_s = s;
+  }
+  return 3.0 * kMultiplies / best_s / 1e9;
+#else
+  return kReferenceGhz;
+#endif
+}
+
 CpuRotation::CpuRotation(int width) {
   cpu_set_t allowed;
   CPU_ZERO(&allowed);

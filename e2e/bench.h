@@ -26,6 +26,13 @@ double ThreadCpuS();
 /// Peak resident set size of the process so far, in MiB.
 double PeakRssMb();
 
+/// The clock that the benchmark's timings are scaled to, in GHz.
+inline constexpr double kReferenceGhz = 2.5;
+/// Clock rate of the CPU the calling thread runs on, in GHz: the shortest of
+/// a few timed chains of dependent 64-bit multiplies, which take 3 cycles
+/// each on x86-64 cores. Elsewhere it returns kReferenceGhz. Takes ~0.6 ms.
+double ClockGhz();
+
 /// \brief Moves the process's threads over the CPUs it may run on, one
 /// window of `width` CPUs per call. Linux leaves a busy thread on one CPU for
 /// a whole run, and on a shared host each CPU has its own noisy neighbour, so

@@ -8,9 +8,10 @@
 // median), runs one untraced reference iteration whose output digest every
 // later iteration must reproduce, then repeats iterations until `--seconds`
 // have passed. Each set-up and iteration starts on the next window of CPUs
-// (CpuRotation), and every timing is a median over the set-ups or
-// iterations. With `--trace 1` the measured iterations record spans, and the
-// result carries the per-layer metrics instead of the end-to-end ones.
+// (CpuRotation). Every timing is scaled to a fixed CPU clock (ClockGhz) and
+// taken as a median over the set-ups or iterations. With `--trace 1` the
+// measured iterations record spans, and the result carries the per-layer
+// metrics instead of the end-to-end ones.
 
 #include <malloc.h>
 
@@ -161,14 +162,26 @@ int Run(const Options& o) {
   CpuRotation rotation(spec->threads);
   // At least three set-ups. Cheap ones repeat for up to three seconds, so
   // that their median spans several of the host's slow and fast spells.
-  std::vector<double> setup_s;
+  std::vector<double> setup_s, clock_ghz;
+  // Each set-up and iteration is timed in cycles of the clock measured just
+  // before and after it, and reported as seconds at kReferenceGhz. The shared
+  // host moves every CPU's clock together, in 100 MHz steps (2.4-2.8 GHz
+  // within minutes here), with its other tenants' load; measured in seconds,
+  // runs of the same code drifted 30% over 20 minutes.
+  auto clock_scale = [&clock_ghz](double ghz_before) {
+    const double ghz = 0.5 * (ghz_before + ClockGhz());
+    clock_ghz.push_back(ghz);
+    return ghz / kReferenceGhz;
+  };
   const double setup_t0 = NowS();
   do {
     tracer.BeginPhase();
     rotation.Next();
+    const double ghz0 = ClockGhz();
     const double t0 = NowS();
     workload->Setup(tracer);
-    setup_s.push_back(NowS() - t0);
+    const double wall = NowS() - t0;
+    setup_s.push_back(wall * clock_scale(ghz0));
     // A user sets up once. Returning what a discarded set-up freed keeps the
     // free lists of repeated set-ups, spread over the pool threads' malloc
     // arenas, out of the peak RSS: on eval_decode it read 39-56 MiB over 20
@@ -184,12 +197,12 @@ int Run(const Options& o) {
   //
   // Every iteration repeats the same operations on the same inputs, so
   // each timing is taken as the median over the iterations. Other tenants
-  // of the shared host slow this VM at every time scale: over 8 minutes of
-  // back-to-back finetune iterations the best of ten iterations ranged from
-  // 1.59 to 2.45 s while their median stayed within 1.75-2.66 s, and 12-s
-  // windows spread 21% by their best iteration against 12% by their median.
+  // of the shared host slow this VM at every time scale, and the best
+  // iteration follows their quiet moments: 8 minutes of back-to-back
+  // finetune iterations, cut into 12-s windows, spread 21% by each window's
+  // best iteration and 12% by its median one.
   tracer.set_enabled(false);
-  std::vector<double> walls, cpus, concurrent_item_s;
+  std::vector<double> walls, clock_walls, cpus, concurrent_item_s;
   std::vector<std::vector<double>> op_samples;  // [op][iteration]
   std::uint64_t attempted = 0, failed = 0;
   std::size_t ops = 0;
@@ -201,9 +214,14 @@ int Run(const Options& o) {
        first = false) {
     tracer.BeginPhase();
     rotation.Next();
+    const double ghz0 = ClockGhz();
     const double t0 = NowS(), cpu0 = ProcessCpuS();
     last = workload->Run(tracer);
-    const double wall = NowS() - t0, cpu = ProcessCpuS() - cpu0;
+    const double clock_wall = NowS() - t0, clock_cpu = ProcessCpuS() - cpu0;
+    const double scale = clock_scale(ghz0);
+    const double wall = clock_wall * scale, cpu = clock_cpu * scale;
+    for (double& ms : last.op_ms) ms *= scale;
+    last.concurrent_item_seconds *= scale;
     if (first) {
       ref = last;
       ref_wall = wall;
@@ -215,6 +233,7 @@ int Run(const Options& o) {
       }
     }
     walls.push_back(wall);
+    clock_walls.push_back(clock_wall);
     cpus.push_back(cpu);
     if (last.digest_text != ref.digest_text) {
       error = "outputs differ between iterations";
@@ -264,6 +283,10 @@ int Run(const Options& o) {
       {spec->quality_metric, end_to_end[7].value, "ratio"},
       {"failed_ratio", attempted == 0 ? 0.0 : double(failed) / attempted,
        "ratio"},
+      // What the scaling started from: the iterations' wall time as the
+      // system clock read it, and the CPU clock over set-ups and iterations.
+      {"wall_clock_s", Median(clock_walls), "s"},
+      {"clock_ghz", Median(clock_ghz), "GHz"},
   };
   for (const Metric& m : end_to_end) PrintMetric(spec->name, m);
   for (const Metric& m : named) PrintMetric(spec->name, m);

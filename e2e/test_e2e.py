@@ -28,7 +28,8 @@ NAMED = {
                     "mwp_accuracy"],
     "serve_burst": ["serve_tokens_per_s"],
 }
-COMMON = ["setup_s", "wall_s", "cpu_s", "peak_rss_mb", "failed_ratio"]
+COMMON = ["setup_s", "wall_s", "cpu_s", "peak_rss_mb", "failed_ratio",
+          "wall_clock_s", "clock_ghz"]
 
 
 def run(workload, seed, trace=0, cwd=ROOT):
