@@ -100,15 +100,21 @@ inline bool FastMode() {
   return env != nullptr && env[0] == '1';
 }
 
+/// \brief DimEval sizes at the fast or the full scale.
+inline dimeval::BenchmarkOptions DimEvalOptions(bool fast) {
+  dimeval::BenchmarkOptions options;
+  options.train_per_task = fast ? 40 : 150;
+  options.test_per_task = fast ? 20 : 60;
+  options.extraction_corpus_sentences = fast ? 300 : 900;
+  return options;
+}
+
 /// \brief The DimEval build used by tables VII/VIII.
 inline const dimeval::DimEvalBenchmark& GetDimEval() {
   static const dimeval::DimEvalBenchmark* const kBench = [] {
-    dimeval::BenchmarkOptions options;
-    options.train_per_task = FastMode() ? 40 : 150;
-    options.test_per_task = FastMode() ? 20 : 60;
-    options.extraction_corpus_sentences = FastMode() ? 300 : 900;
     return new dimeval::DimEvalBenchmark(
-        dimeval::BuildDimEval(GetWorld().kb, *GetWorld().annotator, options)
+        dimeval::BuildDimEval(GetWorld().kb, *GetWorld().annotator,
+                              DimEvalOptions(FastMode()))
             .ValueOrDie());
   }();
   return *kBench;

@@ -344,57 +344,59 @@ BENCHMARK(BM_MatMul)
     ->Args({1, 256, 64})      // decode FFN down-projection GEMV
     ->Args({61, 127, 509});   // all-prime: every remainder path at once
 
-void BM_MatMulInt8(benchmark::State& state) {
-  // The quantized counterpart of the m=1 head GEMV: weights int8 with
-  // per-row scales, activations fp32. Compare against BM_MatMul/1/64/32768.
-  const int m = static_cast<int>(state.range(0));
-  const int kk = static_cast<int>(state.range(1));
-  const int n = static_cast<int>(state.range(2));
-  std::vector<float> a(static_cast<std::size_t>(m) * kk);
-  std::vector<float> w(static_cast<std::size_t>(kk) * n);
-  std::vector<float> c(static_cast<std::size_t>(m) * n);
-  Rng rng(11);
-  for (float& x : a) x = static_cast<float>(rng.UniformReal(-1.0, 1.0));
-  for (float& x : w) x = static_cast<float>(rng.UniformReal(-1.0, 1.0));
-  std::vector<std::int8_t> q(w.size());
-  std::vector<float> scales(static_cast<std::size_t>(kk));
-  lm::kernels::QuantizeRowsInt8(w.data(), kk, n, q.data(), scales.data());
-  for (auto _ : state) {
-    lm::kernels::MatMulInt8(a.data(), q.data(), scales.data(), c.data(), m,
-                            kk, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 *
-                          static_cast<std::int64_t>(m) * kk * n);
-}
-BENCHMARK(BM_MatMulInt8)->Args({1, 64, 32768})->Args({8, 64, 32768});
-
 void BM_TrainBatch(benchmark::State& state) {
+  // DimPerc fine-tuning on its real traffic: Adam steps at DimPerc's shapes
+  // (BenchModelConfig: d_model 64, 3 layers, d_ff 192, max_seq 160, batch
+  // 8) over 16 batches of TrainDimPerc's mix, encoded as TrainSteps encodes
+  // it, on the DimEval build of e2e's finetune workload (the fast sizes,
+  // whatever DIMQR_BENCH_FAST says; vocabulary 1,205). That mix is 5,708
+  // knowledge pairs of 15-29 tokens (median 19) and 240 DimEval pairs of
+  // 35-80 (median 57): 20.8 tokens per example, 48% of them under the loss
+  // (all after the first <sep>), none past max_seq. The seeded sample
+  // holds 6 DimEval pairs in its 128 examples, 20.9 tokens and 10.0 loss
+  // positions per example (mix: 10.0). One iteration trains all 16
+  // batches; items are examples.
+  constexpr int kBatches = 16;
+  struct Fixture {
+    lm::TransformerConfig config;
+    std::vector<std::vector<lm::LmExample>> batches;
+  };
+  static const Fixture* const kFixture = [] {
+    const benchutil::World& world = benchutil::GetWorld();
+    std::vector<solver::SeqExample> mix = solver::MakeDimPercExamples(
+        dimeval::BuildDimEval(world.kb, *world.annotator,
+                              benchutil::DimEvalOptions(/*fast=*/true))
+            .ValueOrDie(),
+        *world.kb);
+    const solver::Seq2SeqConfig dimperc = benchutil::BenchModelConfig();
+    auto encoder =
+        solver::Seq2SeqModel::Create("DimPerc", mix, dimperc).ValueOrDie();
+    Rng rng(17);
+    rng.Shuffle(mix);
+    auto* f = new Fixture();
+    f->config = dimperc.arch;
+    f->config.vocab_size = static_cast<int>(encoder->vocab().size());
+    f->config.seed = 13;
+    f->batches.resize(kBatches);
+    for (int i = 0; i < kBatches * dimperc.batch_size; ++i) {
+      f->batches[i / dimperc.batch_size].push_back(
+          encoder->EncodeExample(mix[i]));
+    }
+    return f;
+  }();
   ScopedParallelism scope(static_cast<int>(state.range(0)));
-  lm::TransformerConfig config;
-  config.vocab_size = 64;
-  config.d_model = 32;
-  config.n_heads = 4;
-  config.n_layers = 2;
-  config.d_ff = 96;
-  config.max_seq = 32;
-  config.seed = 13;
-  lm::Transformer model = lm::Transformer::Create(config).ValueOrDie();
-  Rng rng(17);
-  std::vector<lm::LmExample> batch;
-  for (int i = 0; i < 16; ++i) {
-    lm::LmExample e;
-    int x = static_cast<int>(rng.UniformInt(4, 62));
-    int y = static_cast<int>(rng.UniformInt(4, 62));
-    e.tokens = {1, x, y, 3, x, y, 2};
-    e.loss_mask = {0, 0, 0, 0, 1, 1, 1};
-    batch.push_back(std::move(e));
-  }
+  lm::Transformer model =
+      lm::Transformer::Create(kFixture->config).ValueOrDie();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.TrainBatch(batch, 1e-3).ValueOrDie());
+    for (const std::vector<lm::LmExample>& batch : kFixture->batches) {
+      benchmark::DoNotOptimize(model.TrainBatch(batch, 1e-3).ValueOrDie());
+    }
   }
+  state.SetItemsProcessed(state.iterations() * kBatches *
+                          static_cast<std::int64_t>(
+                              kFixture->batches[0].size()));
 }
-BENCHMARK(BM_TrainBatch)->DenseRange(1, 8);
+BENCHMARK(BM_TrainBatch)->DenseRange(1, 8)->UseRealTime();
 
 void BM_EvalDimEval(benchmark::State& state) {
   ScopedParallelism scope(static_cast<int>(state.range(0)));
@@ -415,7 +417,7 @@ void BM_EvalDimEval(benchmark::State& state) {
     benchmark::DoNotOptimize(eval::EvaluateChoiceTask(mock, tests));
   }
 }
-BENCHMARK(BM_EvalDimEval)->DenseRange(1, 8);
+BENCHMARK(BM_EvalDimEval)->DenseRange(1, 8)->UseRealTime();
 
 void BM_EvalDimEvalFaulty(benchmark::State& state) {
   // Overhead of the resilience layer on the same choice-task evaluation:
@@ -487,17 +489,16 @@ void BM_FleetEval(benchmark::State& state) {
     benchmark::DoNotOptimize(rows.ValueOrDie().size());
   }
 }
-BENCHMARK(BM_FleetEval)->DenseRange(1, 8);
+BENCHMARK(BM_FleetEval)->DenseRange(1, 8)->UseRealTime();
 
 // ---------------------------------------------------------------------
-// Inference fast path: batched prefill vs the retired per-token prompt
-// loop, and the prompt-prefix KV cache under the real eval harness.
+// Inference fast path: batched prefill and greedy decode through a reused
+// arena, and the prompt-prefix KV cache under the real eval harness.
 
-// A realistic output head (D x V) dominates per-token cost: the old path
-// paid it for every prompt token and threw the logits away; batched
-// Prefill pays it once per prompt. The vocabulary is sized like the LLaMA
-// tokenizer of the paper's reference model (32k) so the head/body cost
-// ratio matches the deployment regime the optimization targets.
+// A realistic output head (D x V) dominates per-token cost: Prefill pays
+// it once per prompt, each Step once per generated token. The vocabulary
+// is sized like the LLaMA tokenizer of the paper's reference model (32k)
+// so the head/body cost ratio matches that deployment regime.
 lm::TransformerConfig DecodeBenchConfig() {
   lm::TransformerConfig c;
   c.vocab_size = 32768;
@@ -548,59 +549,6 @@ void BM_GreedyDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyDecode)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_GreedyDecodeInt8(benchmark::State& state) {
-  // Same decode as BM_GreedyDecode, through the int8 weight-quantized
-  // path: per-row-scaled int8 weight panels, fp32 activations and
-  // accumulation. The D x V head dominates, so this is the deployment
-  // number the quantized path exists for.
-  static const lm::Transformer* const kInt8Model = [] {
-    auto* m = new lm::Transformer(DecodeBenchModel());
-    m->EnableInt8Decode(true);
-    return m;
-  }();
-  const lm::Transformer& model = *kInt8Model;
-  std::vector<int> prompt =
-      DecodeBenchPrompt(static_cast<int>(state.range(0)));
-  lm::DecodeState arena;
-  arena.Bind(model.config());
-  for (auto _ : state) {
-    auto out = model.Greedy(prompt, kDecodeNewTokens, kDecodeNeverEos, arena,
-                            nullptr);
-    if (!out.ok()) {
-      state.SkipWithError("greedy failed");
-      return;
-    }
-    benchmark::DoNotOptimize(out.ValueOrDie().data());
-  }
-}
-BENCHMARK(BM_GreedyDecodeInt8)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_GreedyDecodePerToken(benchmark::State& state) {
-  // Replica of the pre-PR decode loop: every prompt token went through a
-  // full Step — including the D x V output head whose logits were then
-  // discarded. (This replica even reuses the arena; the retired code also
-  // reallocated its caches per call, so the measured gap is conservative.)
-  const lm::Transformer& model = DecodeBenchModel();
-  std::vector<int> prompt =
-      DecodeBenchPrompt(static_cast<int>(state.range(0)));
-  lm::DecodeState arena;
-  arena.Bind(model.config());
-  for (auto _ : state) {
-    arena.Rewind();
-    bool ok = true;
-    for (int tok : prompt) ok = ok && model.Step(arena, tok).ok();
-    for (int g = 0; ok && g < kDecodeNewTokens; ++g) {
-      ok = model.Step(arena, lm::ArgmaxLowest(arena.logits())).ok();
-    }
-    if (!ok) {
-      state.SkipWithError("step failed");
-      return;
-    }
-    benchmark::DoNotOptimize(arena.logits().data());
-  }
-}
-BENCHMARK(BM_GreedyDecodePerToken)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_PrefillBatched(benchmark::State& state) {
   // Prefill alone (no generation): one multi-row forward pass per
@@ -837,9 +785,6 @@ int main(int argc, char** argv) {
                std::getenv("DIMQR_SIMD") != nullptr ? " (DIMQR_SIMD set)"
                                                     : "");
   benchmark::AddCustomContext("kernel_isa", isa);
-  benchmark::AddCustomContext(
-      "int8_decode_default",
-      dimqr::lm::Transformer::Int8DecodeDefault() ? "1" : "0");
   // run_benches.sh parses /proc/cpuinfo into this so the JSON records
   // what silicon produced the numbers.
   if (const char* flags = std::getenv("DIMQR_CPU_SIMD_FLAGS")) {

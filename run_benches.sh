@@ -4,7 +4,7 @@
 # micro-benchmarks additionally dump machine-readable Google-benchmark
 # JSON to BENCH_perf.json (interned vs legacy string-keyed comparisons,
 # blocked vs naive kernels, the DIMQR_THREADS sweeps, the inference
-# fast path: batched prefill vs per-token decode plus the prompt-prefix
+# fast path: batched prefill and greedy decode plus the prompt-prefix
 # KV cache on/off under the eval harness, and the serving layer:
 # BM_ServeThroughput's batch-width sweep and BM_ServeP99UnderBurst's
 # tail latency / shed rate / deadline-miss rate under oversubscribed

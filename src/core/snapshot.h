@@ -53,7 +53,7 @@ namespace dimqr::snapshot {
 
 inline constexpr char kSnapshotMagic[8] = {'D', 'Q', 'S', 'N',
                                            'A', 'P', '1', '\0'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 /// Every section payload starts on this boundary (cache-line / SIMD-load
 /// friendly; also the alignment ArenaWriter gives each array's data).
 inline constexpr std::size_t kSectionAlign = 64;

@@ -174,7 +174,13 @@ class UnitExprParser {
   Result<UnitExpr> ParseFactor() {
     if (Peek().kind == TokKind::kLParen) {
       Take();
+      // One recursion per level: bound it before the stack runs out. An
+      // error leaves depth_ raised, but it also ends the parse.
+      if (++depth_ > UnitExpr::kMaxNesting) {
+        return Status::ParseError("unit expression nested too deeply");
+      }
       DIMQR_ASSIGN_OR_RETURN(UnitExpr e, ParseExpr());
+      --depth_;
       if (Peek().kind != TokKind::kRParen) {
         return Status::ParseError("missing ')' in unit expression");
       }
@@ -192,6 +198,7 @@ class UnitExprParser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 Result<UnitExpr> UnitExpr::Parse(std::string_view text) {

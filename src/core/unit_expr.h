@@ -35,8 +35,13 @@ class UnitExpr {
   /// \brief Parses an expression like "joule * metre" or "m/s^2".
   ///
   /// Multiplication may be written '*', 'x' (letter), or U+00D7; division
-  /// '/', the word "per", or U+00F7. Returns ParseError on malformed input.
+  /// '/', the word "per", or U+00F7. Returns ParseError on malformed input,
+  /// including parentheses nested deeper than kMaxNesting.
   static Result<UnitExpr> Parse(std::string_view text);
+
+  /// Deepest parenthesis nesting Parse accepts; generated expressions nest
+  /// a few levels.
+  static constexpr int kMaxNesting = 256;
 
   Kind kind() const { return kind_; }
 

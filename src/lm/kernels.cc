@@ -81,18 +81,6 @@ void MatMulRowTail(const float* arow, const float* b, float* crow, int p0,
   }
 }
 
-void MatMulInt8RowTail(const float* arow, const std::int8_t* q,
-                       const float* scales, float* crow, int p0, int p1,
-                       int j0, int j1, int n) {
-  for (int p = p0; p < p1; ++p) {
-    float eff = arow[p] * scales[p];
-    const std::int8_t* qrow = q + static_cast<std::ptrdiff_t>(p) * n;
-    for (int j = j0; j < j1; ++j) {
-      crow[j] += eff * static_cast<float>(qrow[j]);
-    }
-  }
-}
-
 void GradBTail(const float* a, const float* dc, float* db, int m, int k,
                int n, int p0, int p1, int j0, int j1) {
   for (int p = p0; p < p1; ++p) {
@@ -292,57 +280,11 @@ void ScalarGradB(const float* a, const float* dc, float* db, int m, int k,
   }
 }
 
-void ScalarMatMulInt8(const float* a, const std::int8_t* q,
-                      const float* scales, float* c, int m, int k, int n,
-                      const Epilogue* e) {
-  for (int i = 0; i < m; ++i) {
-    float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
-    std::memset(crow, 0, sizeof(float) * static_cast<std::size_t>(n));
-    const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
-    internal::MatMulInt8RowTail(arow, q, scales, crow, 0, k, 0, n, n);
-  }
-  if (internal::EpilogueHasStrip(e)) {
-    internal::ApplyEpilogueStrip(c, *e, m, n, 0, n);
-  }
-  internal::FinishEpilogue(c, e, m, n);
-}
-
 }  // namespace
 
 namespace internal {
-const KernelTable kScalarKernels = {ScalarMatMul, ScalarGradA, ScalarGradB,
-                                    ScalarMatMulInt8};
+const KernelTable kScalarKernels = {ScalarMatMul, ScalarGradA, ScalarGradB};
 }  // namespace internal
-
-// ---------------------------------------------------------------------------
-// Quantization.
-// ---------------------------------------------------------------------------
-
-void QuantizeRowsInt8(const float* w, int k, int n, std::int8_t* q,
-                      float* scales) {
-  for (int p = 0; p < k; ++p) {
-    const float* row = w + static_cast<std::ptrdiff_t>(p) * n;
-    std::int8_t* qrow = q + static_cast<std::ptrdiff_t>(p) * n;
-    float absmax = 0.0f;
-    for (int j = 0; j < n; ++j) {
-      float av = std::fabs(row[j]);
-      if (av > absmax) absmax = av;
-    }
-    if (absmax == 0.0f) {
-      scales[p] = 1.0f;
-      std::memset(qrow, 0, static_cast<std::size_t>(n));
-      continue;
-    }
-    scales[p] = absmax / 127.0f;
-    const float inv = 127.0f / absmax;
-    for (int j = 0; j < n; ++j) {
-      long r = std::lrintf(row[j] * inv);
-      if (r > 127) r = 127;
-      if (r < -127) r = -127;
-      qrow[j] = static_cast<std::int8_t>(r);
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Dispatch.
@@ -466,11 +408,6 @@ void MatMulGradA(const float* dc, const float* b, float* da, int m, int k,
 void MatMulGradB(const float* a, const float* dc, float* db, int m, int k,
                  int n) {
   ActiveTable().grad_b(a, dc, db, m, k, n);
-}
-
-void MatMulInt8Ex(const float* a, const std::int8_t* q, const float* scales,
-                  float* c, int m, int k, int n, const Epilogue& epilogue) {
-  ActiveTable().matmul_int8(a, q, scales, c, m, k, n, &epilogue);
 }
 
 }  // namespace dimqr::lm::kernels

@@ -1,11 +1,9 @@
 #ifndef DIMQR_LM_KERNELS_H_
 #define DIMQR_LM_KERNELS_H_
 
-#include <cstdint>
-
 /// \file kernels.h
 /// Dense kernels for the micro-transformer (lm/transformer.cc) — the hot
-/// inner loops of every training, prefill, and decode path. Since the SIMD
+/// inner loops of its forward and backward passes. Since the SIMD
 /// rebuild this is a *dispatching* layer: one public entry point per kernel,
 /// routed at runtime to the widest instruction tier the CPU supports
 /// (AVX-512 > AVX2 > scalar), with the cache-blocked scalar implementation
@@ -21,7 +19,7 @@
 /// Determinism and cross-tier bit-identity: every tier evaluates the same
 /// element-level accumulation recipe, so switching tiers (or machines, as
 /// long as one tier is forced) cannot perturb a single output bit:
-///  - MatMul / MatMulGradB / MatMulInt8: per output element, contributions
+///  - MatMul / MatMulGradB: per output element, contributions
 ///    are added in ascending-p (resp. ascending-i) order with one
 ///    accumulator — the naive kernel's order. The SIMD tiers broadcast the
 ///    left operand across vector lanes, which keeps that per-element order
@@ -42,13 +40,6 @@
 /// is still cache-hot. Epilogue arithmetic runs in one shared scalar
 /// helper compiled once in kernels.cc, so fused and unfused results are
 /// bit-identical across all tiers by construction.
-///
-/// Int8 decode path: `QuantizeRowsInt8` produces per-row symmetric int8
-/// weights (scale = absmax/127, round-to-nearest); `MatMulInt8Ex` computes
-/// c[i][j] += (a[i][p] * scale[p]) * q[p][j] with fp32 accumulation. The
-/// effective multiplier rounds once per (i,p), so scalar and SIMD int8
-/// agree bitwise. Off by default — enabled per model via DIMQR_INT8=1
-/// (see lm/transformer.h).
 ///
 /// The *Naive reference kernels are retained for tests and benchmarks.
 /// MatMulNaive is still bit-identical to MatMul; the naive gradient loops
@@ -126,24 +117,6 @@ void MatMulGradA(const float* dc, const float* b, float* da, int m, int k,
 /// ascends — the naive order — at every tier.
 void MatMulGradB(const float* a, const float* dc, float* db, int m, int k,
                  int n);
-
-/// \brief Symmetric per-row int8 quantization of a KxN row-major weight
-/// matrix: scales[p] = absmax(row p) / 127 (1.0 for all-zero rows), q =
-/// round-to-nearest(w / scale) clamped to [-127, 127]. Deterministic — a
-/// pure function of the weights — so quantizing at snapshot-pack time and
-/// at load time produces identical bytes.
-void QuantizeRowsInt8(const float* w, int k, int n, std::int8_t* q,
-                      float* scales);
-
-/// C(MxN) = A(MxK) * dequant(Q, scales), fp32 accumulation: per element,
-/// c[i][j] += eff * q[p][j] in ascending-p order with eff =
-/// a[i][p] * scales[p] rounded once. Epilogue as in MatMulEx.
-void MatMulInt8Ex(const float* a, const std::int8_t* q, const float* scales,
-                  float* c, int m, int k, int n, const Epilogue& epilogue);
-inline void MatMulInt8(const float* a, const std::int8_t* q,
-                       const float* scales, float* c, int m, int k, int n) {
-  MatMulInt8Ex(a, q, scales, c, m, k, n, Epilogue{});
-}
 
 /// Reference triple-loop kernels (the pre-blocking implementations).
 void MatMulNaive(const float* a, const float* b, float* c, int m, int k,

@@ -19,12 +19,6 @@
 namespace dimqr::lm::kernels::internal {
 namespace {
 
-/// 8 int8 weights -> 8 fp32 lanes (exact conversion).
-inline __m256 LoadQ8(const std::int8_t* p) {
-  __m128i q8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8));
-}
-
 /// R rows x 16 columns register tile (two __m256 per row). Caller
 /// guarantees j1 - j0 is a multiple of 16.
 template <int R>
@@ -46,37 +40,6 @@ inline void MatMulTileRx16(const float* a, const float* b, float* c, int i0,
             a[static_cast<std::ptrdiff_t>(i0 + r) * k + p]);
         acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
         acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      float* crow = c + static_cast<std::ptrdiff_t>(i0 + r) * n + j;
-      _mm256_storeu_ps(crow, acc0[r]);
-      _mm256_storeu_ps(crow + 8, acc1[r]);
-    }
-  }
-}
-
-template <int R>
-inline void Int8TileRx16(const float* a, const std::int8_t* q,
-                         const float* scales, float* c, int i0, int k, int n,
-                         int p0, int p1, int j0, int j1) {
-  for (int j = j0; j < j1; j += 16) {
-    __m256 acc0[R], acc1[R];
-    for (int r = 0; r < R; ++r) {
-      float* crow = c + static_cast<std::ptrdiff_t>(i0 + r) * n + j;
-      acc0[r] = _mm256_loadu_ps(crow);
-      acc1[r] = _mm256_loadu_ps(crow + 8);
-    }
-    for (int p = p0; p < p1; ++p) {
-      const std::int8_t* qrow = q + static_cast<std::ptrdiff_t>(p) * n + j;
-      __m256 b0 = LoadQ8(qrow);
-      __m256 b1 = LoadQ8(qrow + 8);
-      const float sp = scales[p];
-      for (int r = 0; r < R; ++r) {
-        float eff = a[static_cast<std::ptrdiff_t>(i0 + r) * k + p] * sp;
-        __m256 ev = _mm256_set1_ps(eff);
-        acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(ev, b0));
-        acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(ev, b1));
       }
     }
     for (int r = 0; r < R; ++r) {
@@ -113,41 +76,6 @@ void MatMulAvx2(const float* a, const float* b, float* c, int m, int k,
           MatMulRowTail(a + static_cast<std::ptrdiff_t>(i) * k, b,
                         c + static_cast<std::ptrdiff_t>(i) * n, pt, pend,
                         jvec, jend, n);
-        }
-      }
-    }
-    if (strip_epilogue) ApplyEpilogueStrip(c, *e, m, n, jt, jend);
-  }
-  FinishEpilogue(c, e, m, n);
-}
-
-void Int8MatMulAvx2(const float* a, const std::int8_t* q, const float* scales,
-                    float* c, int m, int k, int n, const Epilogue* e) {
-  std::memset(c, 0,
-              sizeof(float) * static_cast<std::size_t>(m) *
-                  static_cast<std::size_t>(n));
-  const bool strip_epilogue = EpilogueHasStrip(e);
-  for (int jt = 0; jt < n; jt += kTileJ) {
-    const int jend = std::min(n, jt + kTileJ);
-    const int jvec = jt + (jend - jt) / 16 * 16;
-    for (int pt = 0; pt < k; pt += kTileP) {
-      const int pend = std::min(k, pt + kTileP);
-      int i = 0;
-      for (; i + 4 <= m; i += 4) {
-        Int8TileRx16<4>(a, q, scales, c, i, k, n, pt, pend, jt, jvec);
-        for (int r = 0; jvec < jend && r < 4; ++r) {
-          MatMulInt8RowTail(a + static_cast<std::ptrdiff_t>(i + r) * k, q,
-                            scales,
-                            c + static_cast<std::ptrdiff_t>(i + r) * n, pt,
-                            pend, jvec, jend, n);
-        }
-      }
-      for (; i < m; ++i) {
-        Int8TileRx16<1>(a, q, scales, c, i, k, n, pt, pend, jt, jvec);
-        if (jvec < jend) {
-          MatMulInt8RowTail(a + static_cast<std::ptrdiff_t>(i) * k, q, scales,
-                            c + static_cast<std::ptrdiff_t>(i) * n, pt, pend,
-                            jvec, jend, n);
         }
       }
     }
@@ -243,7 +171,6 @@ void GradBAvx2(const float* a, const float* dc, float* db, int m, int k,
 
 }  // namespace
 
-const KernelTable kAvx2Kernels = {MatMulAvx2, GradAAvx2, GradBAvx2,
-                                  Int8MatMulAvx2};
+const KernelTable kAvx2Kernels = {MatMulAvx2, GradAAvx2, GradBAvx2};
 
 }  // namespace dimqr::lm::kernels::internal

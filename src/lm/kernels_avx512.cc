@@ -8,7 +8,7 @@
 ///  - separate _mm512_mul_ps/_mm512_add_ps (no FMA — the baseline build has
 ///    no FMA instruction, so its mul and add round separately; contraction
 ///    here would change bits), with -ffp-contract=off pinning the compiler;
-///  - forward/GradB/int8 broadcast the left operand across lanes, keeping
+///  - forward/GradB broadcast the left operand across lanes, keeping
 ///    each output element's single-accumulator ascending-p (resp. -i)
 ///    order;
 ///  - GradA keeps one 16-lane accumulator per (row, p, column tile) whose
@@ -29,12 +29,6 @@
 
 namespace dimqr::lm::kernels::internal {
 namespace {
-
-/// 16 int8 weights -> 16 fp32 lanes (exact conversion).
-inline __m512 LoadQ16(const std::int8_t* p) {
-  __m128i q8 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(q8));
-}
 
 /// R rows x 32 columns register tile of C accumulated over p in [p0, p1).
 /// Measured best at R=8 (16 zmm accumulators; the two B loads per p are
@@ -59,39 +53,6 @@ inline void MatMulTileRx32(const float* a, const float* b, float* c, int i0,
             a[static_cast<std::ptrdiff_t>(i0 + r) * k + p]);
         acc0[r] = _mm512_add_ps(acc0[r], _mm512_mul_ps(av, b0));
         acc1[r] = _mm512_add_ps(acc1[r], _mm512_mul_ps(av, b1));
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      float* crow = c + static_cast<std::ptrdiff_t>(i0 + r) * n + j;
-      _mm512_storeu_ps(crow, acc0[r]);
-      _mm512_storeu_ps(crow + 16, acc1[r]);
-    }
-  }
-}
-
-/// Int8 variant: per p, the effective multiplier a[i][p] * scales[p] rounds
-/// once (same as the scalar tier) and the int8 B row is widened exactly.
-template <int R>
-inline void Int8TileRx32(const float* a, const std::int8_t* q,
-                         const float* scales, float* c, int i0, int k, int n,
-                         int p0, int p1, int j0, int j1) {
-  for (int j = j0; j < j1; j += 32) {
-    __m512 acc0[R], acc1[R];
-    for (int r = 0; r < R; ++r) {
-      float* crow = c + static_cast<std::ptrdiff_t>(i0 + r) * n + j;
-      acc0[r] = _mm512_loadu_ps(crow);
-      acc1[r] = _mm512_loadu_ps(crow + 16);
-    }
-    for (int p = p0; p < p1; ++p) {
-      const std::int8_t* qrow = q + static_cast<std::ptrdiff_t>(p) * n + j;
-      __m512 b0 = LoadQ16(qrow);
-      __m512 b1 = LoadQ16(qrow + 16);
-      const float sp = scales[p];
-      for (int r = 0; r < R; ++r) {
-        float eff = a[static_cast<std::ptrdiff_t>(i0 + r) * k + p] * sp;
-        __m512 ev = _mm512_set1_ps(eff);
-        acc0[r] = _mm512_add_ps(acc0[r], _mm512_mul_ps(ev, b0));
-        acc1[r] = _mm512_add_ps(acc1[r], _mm512_mul_ps(ev, b1));
       }
     }
     for (int r = 0; r < R; ++r) {
@@ -133,42 +94,6 @@ void MatMulAvx512(const float* a, const float* b, float* c, int m, int k,
     }
     // The strip [jt, jend) is complete across all p — fuse the epilogue
     // while it is still cache-hot.
-    if (strip_epilogue) ApplyEpilogueStrip(c, *e, m, n, jt, jend);
-  }
-  FinishEpilogue(c, e, m, n);
-}
-
-void Int8MatMulAvx512(const float* a, const std::int8_t* q,
-                      const float* scales, float* c, int m, int k, int n,
-                      const Epilogue* e) {
-  std::memset(c, 0,
-              sizeof(float) * static_cast<std::size_t>(m) *
-                  static_cast<std::size_t>(n));
-  const bool strip_epilogue = EpilogueHasStrip(e);
-  for (int jt = 0; jt < n; jt += kTileJ) {
-    const int jend = std::min(n, jt + kTileJ);
-    const int jvec = jt + (jend - jt) / 32 * 32;
-    for (int pt = 0; pt < k; pt += kTileP) {
-      const int pend = std::min(k, pt + kTileP);
-      int i = 0;
-      for (; i + 8 <= m; i += 8) {
-        Int8TileRx32<8>(a, q, scales, c, i, k, n, pt, pend, jt, jvec);
-        for (int r = 0; jvec < jend && r < 8; ++r) {
-          MatMulInt8RowTail(a + static_cast<std::ptrdiff_t>(i + r) * k, q,
-                            scales,
-                            c + static_cast<std::ptrdiff_t>(i + r) * n, pt,
-                            pend, jvec, jend, n);
-        }
-      }
-      for (; i < m; ++i) {
-        Int8TileRx32<1>(a, q, scales, c, i, k, n, pt, pend, jt, jvec);
-        if (jvec < jend) {
-          MatMulInt8RowTail(a + static_cast<std::ptrdiff_t>(i) * k, q, scales,
-                            c + static_cast<std::ptrdiff_t>(i) * n, pt, pend,
-                            jvec, jend, n);
-        }
-      }
-    }
     if (strip_epilogue) ApplyEpilogueStrip(c, *e, m, n, jt, jend);
   }
   FinishEpilogue(c, e, m, n);
@@ -286,7 +211,6 @@ void GradBAvx512(const float* a, const float* dc, float* db, int m, int k,
 
 }  // namespace
 
-const KernelTable kAvx512Kernels = {MatMulAvx512, GradAAvx512, GradBAvx512,
-                                    Int8MatMulAvx512};
+const KernelTable kAvx512Kernels = {MatMulAvx512, GradAAvx512, GradBAvx512};
 
 }  // namespace dimqr::lm::kernels::internal

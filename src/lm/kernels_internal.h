@@ -1,8 +1,6 @@
 #ifndef DIMQR_LM_KERNELS_INTERNAL_H_
 #define DIMQR_LM_KERNELS_INTERNAL_H_
 
-#include <cstdint>
-
 #include "lm/kernels.h"
 
 /// \file kernels_internal.h
@@ -36,9 +34,6 @@ struct KernelTable {
                  int n);
   void (*grad_b)(const float* a, const float* dc, float* db, int m, int k,
                  int n);
-  void (*matmul_int8)(const float* a, const std::int8_t* q,
-                      const float* scales, float* c, int m, int k, int n,
-                      const Epilogue* e);
 };
 
 extern const KernelTable kScalarKernels;
@@ -60,17 +55,13 @@ void ApplyEpilogueStrip(float* c, const Epilogue& e, int m, int n, int j0,
 /// epilogue's output rows after the whole matrix is done.
 void FinishEpilogue(float* c, const Epilogue* e, int m, int n);
 
-/// Scalar edge loops for the vector tiers' j-remainders. Forward/GradB/int8
+/// Scalar edge loops for the vector tiers' j-remainders. Forward/GradB
 /// accumulate per element in the same order whether executed by vector
 /// lanes or these scalars, so remainder handling cannot change bits.
 /// Columns [j0, j1) of one C row: crow[j] += arow[p] * b[p][j], p ascending
 /// over [p0, p1).
 void MatMulRowTail(const float* arow, const float* b, float* crow, int p0,
                    int p1, int j0, int j1, int n);
-/// Same contraction with int8 B: eff = arow[p] * scales[p], rounded once.
-void MatMulInt8RowTail(const float* arow, const std::int8_t* q,
-                       const float* scales, float* crow, int p0, int p1,
-                       int j0, int j1, int n);
 /// Columns [j0, j1) of dB rows [p0, p1): db[p][j] += a[i][p] * dc[i][j],
 /// i ascending over [0, m).
 void GradBTail(const float* a, const float* dc, float* db, int m, int k,

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -22,7 +20,6 @@ using kernels::MatMul;
 using kernels::MatMulEx;
 using kernels::MatMulGradA;
 using kernels::MatMulGradB;
-using kernels::MatMulInt8Ex;
 
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 
@@ -51,6 +48,21 @@ void LayerNormRow(const float* x, const float* g, const float* b, float* y,
   for (int i = 0; i < d; ++i) y[i] = (x[i] - mean) * rstd * g[i] + b[i];
   *mean_out = mean;
   *rstd_out = rstd;
+}
+
+/// LayerNorm forward for n rows; the per-row statistics land in mean/rstd
+/// when those are non-null (backward needs them, decode does not).
+void LayerNormRows(const float* x, const float* g, const float* b, float* y,
+                   int n, int d, float* mean, float* rstd) {
+  for (int r = 0; r < n; ++r) {
+    const auto off = static_cast<std::size_t>(r) * d;
+    float row_mean, row_rstd;
+    LayerNormRow(x + off, g, b, y + off, d, &row_mean, &row_rstd);
+    if (mean != nullptr) {
+      mean[r] = row_mean;
+      rstd[r] = row_rstd;
+    }
+  }
 }
 
 /// LayerNorm backward for one row; accumulates into dx, dg, db.
@@ -127,51 +139,18 @@ class TransformerLayout {
   TransformerConfig c_;
 };
 
-/// \brief The int8 decode image: one quantized panel per projection matrix
-/// (per layer: qkv, o, w1, w2; plus the output head). Panels either own
-/// their bytes (quantized from fp32 weights) or alias a snapshot mapping
-/// (zero-copy load); `keepalive` pins the mapping in the latter case, so
-/// the image stays valid even after the model itself detaches.
-struct TransformerInt8Weights {
-  struct Panel {
-    AlignedVec<std::int8_t> q_own;   ///< Owned storage (empty when mapped).
-    AlignedVec<float> s_own;
-    std::span<const std::int8_t> q;  ///< k x n row-major quantized weights.
-    std::span<const float> s;        ///< k per-row scales.
-  };
+/// \brief Everything backward reads from one training forward pass, per
+/// layer: the residual rows entering the layer (`x_in`) and after attention
+/// (`x_mid`), both LayerNorm outputs with their per-row mean and rstd, the
+/// fused QKV rows, the H x T x T attention probabilities, the attention
+/// context and the FFN pre- and post-activation rows.
+struct ForwardActivations {
   struct Layer {
-    Panel qkv, o, w1, w2;
+    AlignedVec<float> x_in, ln1, qkv, att, ctx, x_mid, ln2, ff_pre, ff_act;
+    AlignedVec<float> ln1_mean, ln1_rstd, ln2_mean, ln2_rstd;
   };
   std::vector<Layer> layers;
-  Panel head;
-  std::shared_ptr<const snapshot::Snapshot> keepalive;
 };
-
-namespace {
-
-void QuantizePanel(const float* w, int k, int n,
-                   TransformerInt8Weights::Panel* panel) {
-  panel->q_own.resize(static_cast<std::size_t>(k) * n);
-  panel->s_own.resize(static_cast<std::size_t>(k));
-  kernels::QuantizeRowsInt8(w, k, n, panel->q_own.data(),
-                            panel->s_own.data());
-  panel->q = panel->q_own;
-  panel->s = panel->s_own;
-}
-
-/// One decode-path projection, routed to the fp32 or int8 kernels. `panel`
-/// is null on the fp32 path.
-inline void Project(const float* in, const float* w,
-                    const TransformerInt8Weights::Panel* panel, float* out,
-                    int m, int k, int n, const Epilogue& e) {
-  if (panel != nullptr) {
-    MatMulInt8Ex(in, panel->q.data(), panel->s.data(), out, m, k, n, e);
-  } else {
-    MatMulEx(in, w, out, m, k, n, e);
-  }
-}
-
-}  // namespace
 
 Result<Transformer> Transformer::Shell(const TransformerConfig& config) {
   if (config.vocab_size <= SpecialTokensGuard()) {
@@ -225,7 +204,6 @@ Result<Transformer> Transformer::Create(const TransformerConfig& config) {
   model.adam_m_.assign(layout.total, 0.0f);
   model.adam_v_.assign(layout.total, 0.0f);
   model.Reseat();
-  if (Int8DecodeDefault()) model.EnableInt8Decode(true);
   return model;
 }
 
@@ -237,7 +215,6 @@ Transformer& Transformer::operator=(const Transformer& other) {
   params_ = other.params_;
   adam_m_ = other.adam_m_;
   adam_v_ = other.adam_v_;
-  int8_ = other.int8_;  // same weights => shareable quantized image
   if (other.borrowed()) {
     // Copies of a snapshot-backed model share the mapped backing.
     params_v_ = other.params_v_;
@@ -264,14 +241,12 @@ Transformer& Transformer::operator=(Transformer&& other) noexcept {
   adam_m_ = std::move(other.adam_m_);
   adam_v_ = std::move(other.adam_v_);
   keepalive_ = std::move(other.keepalive_);
-  int8_ = std::move(other.int8_);
   if (!was_borrowed) Reseat();
   other.params_.clear();
   other.adam_m_.clear();
   other.adam_v_.clear();
   other.Reseat();
   other.keepalive_ = nullptr;
-  other.int8_ = nullptr;
   return *this;
 }
 
@@ -282,44 +257,6 @@ void Transformer::Detach() {
   adam_v_.assign(adam_v_v_.begin(), adam_v_v_.end());
   keepalive_ = nullptr;
   Reseat();
-  // int8_ stays valid: the weight VALUES are unchanged, and a mapped image
-  // pins its own snapshot via TransformerInt8Weights::keepalive.
-}
-
-bool Transformer::Int8DecodeDefault() {
-  static const bool kDefault = [] {
-    const char* env = std::getenv("DIMQR_INT8");
-    return env != nullptr && std::strcmp(env, "1") == 0;
-  }();
-  return kDefault;
-}
-
-void Transformer::EnableInt8Decode(bool enabled) {
-  if (!enabled) {
-    int8_ = nullptr;
-    return;
-  }
-  const TransformerLayout& lay = *layout_;
-  const TransformerConfig& c = config_;
-  const float* P = params_v_.data();
-  const int D = c.d_model, F = c.d_ff, V = c.vocab_size;
-  auto image = std::make_shared<TransformerInt8Weights>();
-  image->layers.resize(static_cast<std::size_t>(c.n_layers));
-  for (int l = 0; l < c.n_layers; ++l) {
-    const TransformerLayout::Layer& W = lay.layers[static_cast<std::size_t>(l)];
-    TransformerInt8Weights::Layer& out =
-        image->layers[static_cast<std::size_t>(l)];
-    QuantizePanel(P + W.w_qkv, D, 3 * D, &out.qkv);
-    QuantizePanel(P + W.w_o, D, D, &out.o);
-    QuantizePanel(P + W.w1, D, F, &out.w1);
-    QuantizePanel(P + W.w2, F, D, &out.w2);
-  }
-  QuantizePanel(P + lay.w_head, D, V, &image->head);
-  int8_ = std::move(image);
-}
-
-void Transformer::RebuildInt8() {
-  if (int8_ != nullptr) EnableInt8Decode(true);
 }
 
 int Transformer::SpecialTokensGuard() { return 6; }
@@ -330,164 +267,56 @@ Result<double> Transformer::ForwardBackward(const LmExample& example,
   const TransformerLayout& lay = *layout_;
   const float* P = params_v_.data();
 
-  // Left-truncate to max_seq (answers live at the end of the sequence).
-  std::vector<int> tokens = example.tokens;
-  std::vector<std::uint8_t> mask = example.loss_mask;
-  if (tokens.size() != mask.size()) {
+  if (example.tokens.size() != example.loss_mask.size()) {
     return Status::InvalidArgument("tokens/loss_mask size mismatch");
   }
-  if (tokens.size() < 2) {
+  if (example.tokens.size() < 2) {
     return Status::InvalidArgument("example needs at least two tokens");
   }
-  if (tokens.size() > static_cast<std::size_t>(c.max_seq)) {
-    std::size_t drop = tokens.size() - static_cast<std::size_t>(c.max_seq);
-    tokens.erase(tokens.begin(), tokens.begin() + static_cast<std::ptrdiff_t>(drop));
-    mask.erase(mask.begin(), mask.begin() + static_cast<std::ptrdiff_t>(drop));
-  }
-  const int T = static_cast<int>(tokens.size());
+  // Left-truncate to max_seq (answers live at the end of the sequence).
+  const std::size_t drop =
+      example.tokens.size() -
+      std::min(example.tokens.size(), static_cast<std::size_t>(c.max_seq));
+  const int* tokens = example.tokens.data() + drop;
+  const std::uint8_t* mask = example.loss_mask.data() + drop;
+  const int T = static_cast<int>(example.tokens.size() - drop);
   const int D = c.d_model, H = c.n_heads, Dh = D / H, F = c.d_ff,
             V = c.vocab_size, L = c.n_layers;
-  for (int t = 0; t < T; ++t) {
-    if (tokens[t] < 0 || tokens[t] >= V) {
-      return Status::InvalidArgument("token id out of range");
-    }
-  }
-
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(Dh));
   auto TD = static_cast<std::size_t>(T) * D;
 
-  // ---- forward ----
-  std::vector<float> x0(TD);
-  for (int t = 0; t < T; ++t) {
-    const float* te = P + lay.tok_emb + static_cast<std::size_t>(tokens[t]) * D;
-    const float* pe = P + lay.pos_emb + static_cast<std::size_t>(t) * D;
-    for (int i = 0; i < D; ++i) x0[static_cast<std::size_t>(t) * D + i] = te[i] + pe[i];
-  }
-
-  struct LayerActs {
-    std::vector<float> x_in, ln1, qkv, att, ctx, x_mid, ln2, ff_pre, ff_act,
-        x_out;
-    std::vector<float> ln1_mean, ln1_rstd, ln2_mean, ln2_rstd;
-  };
-  std::vector<LayerActs> acts(L);
-  std::vector<float> x = x0;
-  for (int l = 0; l < L; ++l) {
-    const TransformerLayout::Layer& W = lay.layers[l];
-    LayerActs& a = acts[l];
-    a.x_in = x;
-    a.ln1.resize(TD);
-    a.ln1_mean.resize(T);
-    a.ln1_rstd.resize(T);
-    for (int t = 0; t < T; ++t) {
-      LayerNormRow(a.x_in.data() + static_cast<std::size_t>(t) * D,
-                   P + W.ln1_g, P + W.ln1_b,
-                   a.ln1.data() + static_cast<std::size_t>(t) * D, D,
-                   &a.ln1_mean[t], &a.ln1_rstd[t]);
-    }
-    a.qkv.resize(static_cast<std::size_t>(T) * 3 * D);
-    Epilogue qkv_epi;
-    qkv_epi.bias = P + W.b_qkv;
-    MatMulEx(a.ln1.data(), P + W.w_qkv, a.qkv.data(), T, D, 3 * D, qkv_epi);
-    // attention per head
-    a.att.assign(static_cast<std::size_t>(H) * T * T, 0.0f);
-    a.ctx.assign(TD, 0.0f);
-    for (int h = 0; h < H; ++h) {
-      for (int t = 0; t < T; ++t) {
-        const float* q =
-            a.qkv.data() + static_cast<std::size_t>(t) * 3 * D + h * Dh;
-        float* att_row =
-            a.att.data() + (static_cast<std::size_t>(h) * T + t) * T;
-        float maxv = -1e30f;
-        for (int u = 0; u <= t; ++u) {
-          const float* k =
-              a.qkv.data() + static_cast<std::size_t>(u) * 3 * D + D + h * Dh;
-          float dot = 0.0f;
-          for (int i = 0; i < Dh; ++i) dot += q[i] * k[i];
-          dot *= inv_sqrt_dh;
-          att_row[u] = dot;
-          if (dot > maxv) maxv = dot;
-        }
-        float denom = 0.0f;
-        for (int u = 0; u <= t; ++u) {
-          att_row[u] = std::exp(att_row[u] - maxv);
-          denom += att_row[u];
-        }
-        float inv_denom = 1.0f / denom;
-        for (int u = 0; u <= t; ++u) att_row[u] *= inv_denom;
-        float* ctx =
-            a.ctx.data() + static_cast<std::size_t>(t) * D + h * Dh;
-        for (int u = 0; u <= t; ++u) {
-          const float* v = a.qkv.data() +
-                           static_cast<std::size_t>(u) * 3 * D + 2 * D + h * Dh;
-          float w = att_row[u];
-          for (int i = 0; i < Dh; ++i) ctx[i] += w * v[i];
-        }
-      }
-    }
-    // output projection + residual (bias and skip fused into the GEMM)
-    a.x_mid.resize(TD);
-    Epilogue o_epi;
-    o_epi.bias = P + W.b_o;
-    o_epi.residual = a.x_in.data();
-    MatMulEx(a.ctx.data(), P + W.w_o, a.x_mid.data(), T, D, D, o_epi);
-    // MLP
-    a.ln2.resize(TD);
-    a.ln2_mean.resize(T);
-    a.ln2_rstd.resize(T);
-    for (int t = 0; t < T; ++t) {
-      LayerNormRow(a.x_mid.data() + static_cast<std::size_t>(t) * D,
-                   P + W.ln2_g, P + W.ln2_b,
-                   a.ln2.data() + static_cast<std::size_t>(t) * D, D,
-                   &a.ln2_mean[t], &a.ln2_rstd[t]);
-    }
-    a.ff_pre.resize(static_cast<std::size_t>(T) * F);
-    a.ff_act.resize(static_cast<std::size_t>(T) * F);
-    // ff_pre keeps the post-bias preactivation (backward needs it); the
-    // GELU lands in ff_act from the same fused pass.
-    Epilogue ff_epi;
-    ff_epi.bias = P + W.b1;
-    ff_epi.gelu_out = a.ff_act.data();
-    MatMulEx(a.ln2.data(), P + W.w1, a.ff_pre.data(), T, D, F, ff_epi);
-    a.x_out.resize(TD);
-    Epilogue out_epi;
-    out_epi.bias = P + W.b2;
-    out_epi.residual = a.x_mid.data();
-    MatMulEx(a.ff_act.data(), P + W.w2, a.x_out.data(), T, F, D, out_epi);
-    x = a.x_out;
-  }
-
-  std::vector<float> lnf(TD), lnf_mean(T), lnf_rstd(T);
-  for (int t = 0; t < T; ++t) {
-    LayerNormRow(x.data() + static_cast<std::size_t>(t) * D, P + lay.lnf_g,
-                 P + lay.lnf_b, lnf.data() + static_cast<std::size_t>(t) * D,
-                 D, &lnf_mean[t], &lnf_rstd[t]);
-  }
-
   // Loss positions: predict tokens[t] from prefix ending at t-1, for every
   // t >= 1 with mask[t] set.
-  int n_loss = 0;
+  std::vector<int> loss_pos;
   for (int t = 1; t < T; ++t) {
-    if (mask[t]) ++n_loss;
+    if (mask[t]) loss_pos.push_back(t);
   }
-  if (n_loss == 0) {
+  if (loss_pos.empty()) {
     return Status::InvalidArgument("no positions carry loss");
   }
+  const int n_loss = static_cast<int>(loss_pos.size());
+
+  // ---- forward ----
+  // The decode pass over all T rows, from a state of training's own:
+  // decode callers hold ThreadLocalDecodeState() across a whole Greedy.
+  static thread_local DecodeState state;
+  state.Bind(c);
+  ForwardActivations acts;
+  acts.layers.resize(static_cast<std::size_t>(L));
+  DIMQR_RETURN_NOT_OK(Forward(tokens, T, state, &acts));
+  const float* x = state.rows_x_.data();
+  std::vector<float> lnf(TD), lnf_mean(T), lnf_rstd(T);
+  LayerNormRows(x, P + lay.lnf_g, P + lay.lnf_b, lnf.data(), T, D,
+                lnf_mean.data(), lnf_rstd.data());
 
   // Gather the hidden rows that feed the loss and run the head ONCE as an
   // n_loss-row GEMM with the softmax folded into its epilogue — the old
   // code paid a separate D x V pass (plus a full softmax) per position.
   std::vector<float> hs(static_cast<std::size_t>(n_loss) * D);
-  std::vector<int> loss_pos(static_cast<std::size_t>(n_loss));
-  {
-    int row = 0;
-    for (int t = 1; t < T; ++t) {
-      if (!mask[t]) continue;
-      loss_pos[static_cast<std::size_t>(row)] = t;
-      std::memcpy(hs.data() + static_cast<std::size_t>(row) * D,
-                  lnf.data() + static_cast<std::size_t>(t - 1) * D,
-                  sizeof(float) * static_cast<std::size_t>(D));
-      ++row;
-    }
+  for (int r = 0; r < n_loss; ++r) {
+    std::memcpy(hs.data() + static_cast<std::size_t>(r) * D,
+                lnf.data() + static_cast<std::size_t>(loss_pos[r] - 1) * D,
+                sizeof(float) * static_cast<std::size_t>(D));
   }
   std::vector<float> probs(static_cast<std::size_t>(n_loss) * V);
   Epilogue head_epi;
@@ -525,7 +354,7 @@ Result<double> Transformer::ForwardBackward(const LmExample& example,
   // ---- backward ----
   std::vector<float> dx(TD, 0.0f);
   for (int t = 0; t < T; ++t) {
-    LayerNormRowBackward(x.data() + static_cast<std::size_t>(t) * D,
+    LayerNormRowBackward(x + static_cast<std::size_t>(t) * D,
                          P + lay.lnf_g,
                          dlnf.data() + static_cast<std::size_t>(t) * D,
                          lnf_mean[t], lnf_rstd[t],
@@ -537,8 +366,8 @@ Result<double> Transformer::ForwardBackward(const LmExample& example,
       d_ln1(TD), d_qkv, d_att;
   for (int l = L - 1; l >= 0; --l) {
     const TransformerLayout::Layer& W = lay.layers[l];
-    const LayerActs& a = acts[l];
-    // dx is gradient wrt a.x_out.
+    const ForwardActivations::Layer& a = acts.layers[l];
+    // dx is gradient wrt the layer's output rows.
     // x_out = x_mid + (gelu(ln2.W1+b1)).W2 + b2
     d_ff_act.assign(static_cast<std::size_t>(T) * F, 0.0f);
     MatMulGradA(dx.data(), P + W.w2, d_ff_act.data(), T, F, D);
@@ -727,21 +556,24 @@ Result<double> Transformer::TrainBatch(const std::vector<LmExample>& batch,
         }
         return Status::OK();
       }));
-  RebuildInt8();  // weights changed; requantize the decode image (if on)
   return total.loss / static_cast<double>(batch.size());
 }
 
 // ---------------------------------------------------------------------------
-// Inference fast path. Three entry points share one KV-cache convention:
-//   Step     — one token, one row appended, logits computed;
-//   Prefill  — n tokens as one n-row forward, logits for the last row only;
-//   Greedy   — truncate, (optionally fork a PrefixCache snapshot,) Prefill
-//              the prompt, then Step per generated token.
-// Row t of the cache is a pure function of tokens[0..t] and the weights,
-// and Prefill evaluates every per-row operation in exactly Step's FP order
-// (same kernels, same accumulation order, same bias/residual grouping), so
-// the two paths are bit-identical — the equivalence suite in
-// tests/lm/decode_fastpath_test.cc asserts EXPECT_EQ on raw float vectors.
+// The forward pass. One row-batched `Forward` runs every layer for both
+// training and decode; the entry points differ only in what they do with
+// the final residual rows it leaves in the state:
+//   ForwardBackward — LayerNorm + softmax head on every loss row, backward;
+//   Prefill         — LayerNorm + head on the last row only (next logits);
+//   Step            — Prefill of one token;
+//   Greedy          — truncate, (optionally fork a PrefixCache snapshot,)
+//                     Prefill the prompt, then Step per generated token.
+// Row t of the KV cache is a pure function of tokens[0..t] and the weights,
+// and every kernel evaluates a row the same way whatever the batch, so one
+// n-token Prefill and n Steps fill bit-identical caches and logits — the
+// equivalence suite in tests/lm/decode_fastpath_test.cc asserts EXPECT_EQ
+// on raw float vectors — and the loss of a last-token example is exactly
+// the cross-entropy of NextLogits over its prefix.
 // ---------------------------------------------------------------------------
 
 bool DecodeState::BoundTo(const TransformerConfig& c) const {
@@ -762,12 +594,6 @@ void DecodeState::Bind(const TransformerConfig& c) {
                  AlignedVec<float>(rows * d, 0.0f));
     values_.assign(static_cast<std::size_t>(n_layers_),
                    AlignedVec<float>(rows * d, 0.0f));
-    x_.assign(d, 0.0f);
-    ln_.assign(d, 0.0f);
-    qkv_.assign(3 * d, 0.0f);
-    ctx_.assign(d, 0.0f);
-    proj_.assign(d, 0.0f);
-    ff_.assign(static_cast<std::size_t>(d_ff_), 0.0f);
     att_.assign(rows, 0.0f);
     h_.assign(d, 0.0f);
     logits_.assign(static_cast<std::size_t>(vocab_), 0.0f);
@@ -786,126 +612,26 @@ DecodeState& ThreadLocalDecodeState() {
   return state;
 }
 
-Status Transformer::Step(DecodeState& state, int token) const {
+Status Transformer::Forward(const int* tokens, int n, DecodeState& state,
+                            ForwardActivations* acts) const {
   const TransformerConfig& c = config_;
   if (!state.BoundTo(c)) state.Bind(c);
-  const TransformerLayout& lay = *layout_;
-  const float* P = params_v_.data();
-  const int D = c.d_model, H = c.n_heads, Dh = D / H, F = c.d_ff,
-            V = c.vocab_size, L = c.n_layers;
-  if (token < 0 || token >= V) {
-    return Status::InvalidArgument("token id out of range");
-  }
-  if (state.position_ >= c.max_seq) {
-    return Status::OutOfRange("decode exceeded max_seq");
-  }
-  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(Dh));
-  const int t = state.position_;
-
-  float* x = state.x_.data();
-  {
-    const float* te = P + lay.tok_emb + static_cast<std::size_t>(token) * D;
-    const float* pe = P + lay.pos_emb + static_cast<std::size_t>(t) * D;
-    for (int i = 0; i < D; ++i) x[i] = te[i] + pe[i];
-  }
-  float mean, rstd;
-  float* ln = state.ln_.data();
-  float* qkv = state.qkv_.data();
-  float* ctx = state.ctx_.data();
-  float* proj = state.proj_.data();
-  float* ff = state.ff_.data();
-  float* att = state.att_.data();
-  const TransformerInt8Weights* i8 = int8_.get();
-  for (int l = 0; l < L; ++l) {
-    const TransformerLayout::Layer& W = lay.layers[l];
-    const TransformerInt8Weights::Layer* q8 =
-        i8 == nullptr ? nullptr : &i8->layers[static_cast<std::size_t>(l)];
-    LayerNormRow(x, P + W.ln1_g, P + W.ln1_b, ln, D, &mean, &rstd);
-    Epilogue qkv_epi;
-    qkv_epi.bias = P + W.b_qkv;
-    Project(ln, P + W.w_qkv, q8 == nullptr ? nullptr : &q8->qkv, qkv, 1, D,
-            3 * D, qkv_epi);
-    float* kcache = state.keys_[static_cast<std::size_t>(l)].data();
-    float* vcache = state.values_[static_cast<std::size_t>(l)].data();
-    std::copy(qkv + D, qkv + 2 * D, kcache + static_cast<std::size_t>(t) * D);
-    std::copy(qkv + 2 * D, qkv + 3 * D,
-              vcache + static_cast<std::size_t>(t) * D);
-    std::fill(ctx, ctx + D, 0.0f);
-    for (int h = 0; h < H; ++h) {
-      const float* q = qkv + h * Dh;
-      float maxv = -1e30f;
-      for (int u = 0; u <= t; ++u) {
-        const float* k = kcache + static_cast<std::size_t>(u) * D + h * Dh;
-        float dot = 0.0f;
-        for (int i = 0; i < Dh; ++i) dot += q[i] * k[i];
-        att[static_cast<std::size_t>(u)] = dot * inv_sqrt_dh;
-        maxv = std::max(maxv, att[static_cast<std::size_t>(u)]);
-      }
-      float denom = 0.0f;
-      for (int u = 0; u <= t; ++u) {
-        att[static_cast<std::size_t>(u)] =
-            std::exp(att[static_cast<std::size_t>(u)] - maxv);
-        denom += att[static_cast<std::size_t>(u)];
-      }
-      float* crow = ctx + h * Dh;
-      for (int u = 0; u <= t; ++u) {
-        const float* v = vcache + static_cast<std::size_t>(u) * D + h * Dh;
-        float w = att[static_cast<std::size_t>(u)] / denom;
-        for (int i = 0; i < Dh; ++i) crow[i] += w * v[i];
-      }
-    }
-    // x += proj + bias, fused: the epilogue's residual+out both alias x, so
-    // the association x + (proj + bias) matches the old two-pass code.
-    Epilogue o_epi;
-    o_epi.bias = P + W.b_o;
-    o_epi.residual = x;
-    o_epi.out = x;
-    Project(ctx, P + W.w_o, q8 == nullptr ? nullptr : &q8->o, proj, 1, D, D,
-            o_epi);
-    LayerNormRow(x, P + W.ln2_g, P + W.ln2_b, ln, D, &mean, &rstd);
-    Epilogue ff_epi;
-    ff_epi.bias = P + W.b1;
-    ff_epi.gelu_out = ff;  // activation in place: ff = Gelu(ff + b1)
-    Project(ln, P + W.w1, q8 == nullptr ? nullptr : &q8->w1, ff, 1, D, F,
-            ff_epi);
-    Epilogue out_epi;
-    out_epi.bias = P + W.b2;
-    out_epi.residual = x;
-    out_epi.out = x;
-    Project(ff, P + W.w2, q8 == nullptr ? nullptr : &q8->w2, proj, 1, F, D,
-            out_epi);
-  }
-  ++state.position_;
-  float* h_final = state.h_.data();
-  LayerNormRow(x, P + lay.lnf_g, P + lay.lnf_b, h_final, D, &mean, &rstd);
-  Project(h_final, P + lay.w_head, i8 == nullptr ? nullptr : &i8->head,
-          state.logits_.data(), 1, D, V, Epilogue{});
-  return Status::OK();
-}
-
-Status Transformer::Prefill(const int* tokens, int n,
-                            DecodeState& state) const {
-  const TransformerConfig& c = config_;
-  if (tokens == nullptr || n <= 0) {
-    return Status::InvalidArgument("empty prefill");
-  }
-  if (!state.BoundTo(c)) state.Bind(c);
-  const TransformerLayout& lay = *layout_;
-  const float* P = params_v_.data();
-  const int D = c.d_model, H = c.n_heads, Dh = D / H, F = c.d_ff,
-            V = c.vocab_size, L = c.n_layers;
   const int p0 = state.position_;
   if (p0 + n > c.max_seq) {
     return Status::OutOfRange("decode exceeded max_seq");
   }
   for (int r = 0; r < n; ++r) {
-    if (tokens[r] < 0 || tokens[r] >= V) {
+    if (tokens[r] < 0 || tokens[r] >= c.vocab_size) {
       return Status::InvalidArgument("token id out of range");
     }
   }
+  const TransformerLayout& lay = *layout_;
+  const float* P = params_v_.data();
+  const int D = c.d_model, H = c.n_heads, Dh = D / H, F = c.d_ff;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(Dh));
   const auto nd = static_cast<std::size_t>(n) * D;
 
+  // The residual stream; row r is position p0 + r.
   float* X = state.rows_x_.data();
   for (int r = 0; r < n; ++r) {
     const float* te =
@@ -914,95 +640,127 @@ Status Transformer::Prefill(const int* tokens, int n,
     float* xrow = X + static_cast<std::size_t>(r) * D;
     for (int i = 0; i < D; ++i) xrow[i] = te[i] + pe[i];
   }
-  float mean, rstd;
-  float* LN = state.rows_ln_.data();
-  float* QKV = state.rows_qkv_.data();
-  float* CTX = state.rows_ctx_.data();
-  float* PROJ = state.rows_proj_.data();
-  float* FF = state.rows_ff_.data();
-  float* att = state.att_.data();
-  const TransformerInt8Weights* i8 = int8_.get();
-  for (int l = 0; l < L; ++l) {
-    const TransformerLayout::Layer& W = lay.layers[l];
-    const TransformerInt8Weights::Layer* q8 =
-        i8 == nullptr ? nullptr : &i8->layers[static_cast<std::size_t>(l)];
-    for (int r = 0; r < n; ++r) {
-      LayerNormRow(X + static_cast<std::size_t>(r) * D, P + W.ln1_g,
-                   P + W.ln1_b, LN + static_cast<std::size_t>(r) * D, D,
-                   &mean, &rstd);
+  float* proj = state.rows_proj_.data();
+  for (int l = 0; l < c.n_layers; ++l) {
+    const TransformerLayout::Layer& W = lay.layers[static_cast<std::size_t>(l)];
+    // Decode reuses one set of scratch rows and updates X in place (one
+    // attention row at a time in att_); training redirects every write into
+    // its own buffer in `acts`. The arithmetic is the same: the fused
+    // epilogue gives the same bits whether residual and out alias or not.
+    float *x_in = X, *x_mid = X, *ln1 = state.rows_ln_.data(), *ln2 = ln1;
+    float *qkv = state.rows_qkv_.data(), *ctx = state.rows_ctx_.data();
+    float *ff_pre = state.rows_ff_.data(), *ff_act = ff_pre;
+    float* att = state.att_.data();
+    float *ln1_mean = nullptr, *ln1_rstd = nullptr;
+    float *ln2_mean = nullptr, *ln2_rstd = nullptr;
+    if (acts != nullptr) {  // state is at position 0, so rows == positions
+      ForwardActivations::Layer& a = acts->layers[static_cast<std::size_t>(l)];
+      auto take = [](AlignedVec<float>& v, std::size_t size) {
+        v.resize(size);
+        return v.data();
+      };
+      const auto nf = static_cast<std::size_t>(n) * F;
+      a.x_in.assign(X, X + nd);
+      x_in = a.x_in.data();
+      x_mid = take(a.x_mid, nd);
+      ln1 = take(a.ln1, nd);
+      ln2 = take(a.ln2, nd);
+      qkv = take(a.qkv, 3 * nd);
+      att = take(a.att, static_cast<std::size_t>(H) * n * n);
+      ctx = take(a.ctx, nd);
+      ff_pre = take(a.ff_pre, nf);
+      ff_act = take(a.ff_act, nf);
+      ln1_mean = take(a.ln1_mean, static_cast<std::size_t>(n));
+      ln1_rstd = take(a.ln1_rstd, static_cast<std::size_t>(n));
+      ln2_mean = take(a.ln2_mean, static_cast<std::size_t>(n));
+      ln2_rstd = take(a.ln2_rstd, static_cast<std::size_t>(n));
     }
+    LayerNormRows(x_in, P + W.ln1_g, P + W.ln1_b, ln1, n, D, ln1_mean,
+                  ln1_rstd);
     Epilogue qkv_epi;
     qkv_epi.bias = P + W.b_qkv;
-    Project(LN, P + W.w_qkv, q8 == nullptr ? nullptr : &q8->qkv, QKV, n, D,
-            3 * D, qkv_epi);
+    MatMulEx(ln1, P + W.w_qkv, qkv, n, D, 3 * D, qkv_epi);
     float* kcache = state.keys_[static_cast<std::size_t>(l)].data();
     float* vcache = state.values_[static_cast<std::size_t>(l)].data();
     for (int r = 0; r < n; ++r) {
-      const float* qrow = QKV + static_cast<std::size_t>(r) * 3 * D;
+      const float* qrow = qkv + static_cast<std::size_t>(r) * 3 * D;
       std::copy(qrow + D, qrow + 2 * D,
                 kcache + static_cast<std::size_t>(p0 + r) * D);
       std::copy(qrow + 2 * D, qrow + 3 * D,
                 vcache + static_cast<std::size_t>(p0 + r) * D);
     }
-    std::fill(CTX, CTX + nd, 0.0f);
-    for (int r = 0; r < n; ++r) {
-      const int t = p0 + r;
-      for (int h = 0; h < H; ++h) {
-        const float* q = QKV + static_cast<std::size_t>(r) * 3 * D + h * Dh;
+    std::fill(ctx, ctx + nd, 0.0f);
+    for (int h = 0; h < H; ++h) {
+      for (int r = 0; r < n; ++r) {
+        const int t = p0 + r;
+        const float* q = qkv + static_cast<std::size_t>(r) * 3 * D + h * Dh;
+        float* att_row =
+            acts != nullptr ? att + (static_cast<std::size_t>(h) * n + r) * n
+                            : att;
         float maxv = -1e30f;
         for (int u = 0; u <= t; ++u) {
           const float* k = kcache + static_cast<std::size_t>(u) * D + h * Dh;
           float dot = 0.0f;
           for (int i = 0; i < Dh; ++i) dot += q[i] * k[i];
-          att[static_cast<std::size_t>(u)] = dot * inv_sqrt_dh;
-          maxv = std::max(maxv, att[static_cast<std::size_t>(u)]);
+          dot *= inv_sqrt_dh;
+          att_row[u] = dot;
+          if (dot > maxv) maxv = dot;
         }
         float denom = 0.0f;
         for (int u = 0; u <= t; ++u) {
-          att[static_cast<std::size_t>(u)] =
-              std::exp(att[static_cast<std::size_t>(u)] - maxv);
-          denom += att[static_cast<std::size_t>(u)];
+          att_row[u] = std::exp(att_row[u] - maxv);
+          denom += att_row[u];
         }
-        float* crow = CTX + static_cast<std::size_t>(r) * D + h * Dh;
+        float inv_denom = 1.0f / denom;
+        for (int u = 0; u <= t; ++u) att_row[u] *= inv_denom;
+        float* crow = ctx + static_cast<std::size_t>(r) * D + h * Dh;
         for (int u = 0; u <= t; ++u) {
           const float* v = vcache + static_cast<std::size_t>(u) * D + h * Dh;
-          float w = att[static_cast<std::size_t>(u)] / denom;
+          float w = att_row[u];
           for (int i = 0; i < Dh; ++i) crow[i] += w * v[i];
         }
       }
     }
+    // Output projection + residual (bias and skip fused into the GEMM).
     Epilogue o_epi;
     o_epi.bias = P + W.b_o;
-    o_epi.residual = X;
-    o_epi.out = X;  // X += PROJ + bias, exactly the old two-pass association
-    Project(CTX, P + W.w_o, q8 == nullptr ? nullptr : &q8->o, PROJ, n, D, D,
-            o_epi);
-    for (int r = 0; r < n; ++r) {
-      LayerNormRow(X + static_cast<std::size_t>(r) * D, P + W.ln2_g,
-                   P + W.ln2_b, LN + static_cast<std::size_t>(r) * D, D,
-                   &mean, &rstd);
-    }
+    o_epi.residual = x_in;
+    o_epi.out = x_mid;
+    MatMulEx(ctx, P + W.w_o, proj, n, D, D, o_epi);
+    // MLP. ff_pre keeps the post-bias preactivation for backward; the GELU
+    // lands in ff_act from the same fused pass (in place when they alias).
+    LayerNormRows(x_mid, P + W.ln2_g, P + W.ln2_b, ln2, n, D, ln2_mean,
+                  ln2_rstd);
     Epilogue ff_epi;
     ff_epi.bias = P + W.b1;
-    ff_epi.gelu_out = FF;  // activation in place: FF = Gelu(FF + b1)
-    Project(LN, P + W.w1, q8 == nullptr ? nullptr : &q8->w1, FF, n, D, F,
-            ff_epi);
+    ff_epi.gelu_out = ff_act;
+    MatMulEx(ln2, P + W.w1, ff_pre, n, D, F, ff_epi);
     Epilogue out_epi;
     out_epi.bias = P + W.b2;
-    out_epi.residual = X;
+    out_epi.residual = x_mid;
     out_epi.out = X;
-    Project(FF, P + W.w2, q8 == nullptr ? nullptr : &q8->w2, PROJ, n, F, D,
-            out_epi);
+    MatMulEx(ff_act, P + W.w2, proj, n, F, D, out_epi);
   }
   state.position_ = p0 + n;
-  // Output head for the last row only — the big win over the per-token
-  // path, which pays the D x V head on every prompt token just to discard
-  // the logits.
-  float* h_final = state.h_.data();
-  LayerNormRow(X + static_cast<std::size_t>(n - 1) * D, P + lay.lnf_g,
-               P + lay.lnf_b, h_final, D, &mean, &rstd);
-  Project(h_final, P + lay.w_head, i8 == nullptr ? nullptr : &i8->head,
-          state.logits_.data(), 1, D, V, Epilogue{});
+  return Status::OK();
+}
+
+Status Transformer::Prefill(const int* tokens, int n,
+                            DecodeState& state) const {
+  if (tokens == nullptr || n <= 0) {
+    return Status::InvalidArgument("empty prefill");
+  }
+  DIMQR_RETURN_NOT_OK(Forward(tokens, n, state, nullptr));
+  // Output head for the last row only: the prompt's other rows only feed
+  // the KV cache.
+  const TransformerLayout& lay = *layout_;
+  const float* P = params_v_.data();
+  const int D = config_.d_model;
+  LayerNormRows(state.rows_x_.data() + static_cast<std::size_t>(n - 1) * D,
+                P + lay.lnf_g, P + lay.lnf_b, state.h_.data(), 1, D, nullptr,
+                nullptr);
+  MatMul(state.h_.data(), P + lay.w_head, state.logits_.data(), 1, D,
+         config_.vocab_size);
   return Status::OK();
 }
 
@@ -1073,23 +831,6 @@ Result<int> Transformer::PrefillWithCache(const std::vector<int>& tokens,
   return seeded;
 }
 
-Status Transformer::Save(const std::string& path) const {
-  snapshot::SnapshotWriter writer;
-  snapshot::ArenaWriter arena;
-  WriteTo(arena);
-  DIMQR_RETURN_NOT_OK(writer.AddSection("transformer", std::move(arena)));
-  return writer.WriteFile(path);
-}
-
-Result<Transformer> Transformer::Load(const std::string& path) {
-  DIMQR_ASSIGN_OR_RETURN(std::shared_ptr<const snapshot::Snapshot> snap,
-                         snapshot::Snapshot::Map(path));
-  DIMQR_ASSIGN_OR_RETURN(std::span<const std::byte> section,
-                         snap->Section("transformer"));
-  snapshot::ArenaReader reader(section);
-  return FromArena(reader, snap);
-}
-
 namespace {
 
 /// Fixed-width serialized form of TransformerConfig + optimizer step.
@@ -1111,26 +852,6 @@ void Transformer::WriteTo(snapshot::ArenaWriter& writer) const {
   writer.PutArray(params_v_);
   writer.PutArray(adam_m_v_);
   writer.PutArray(adam_v_v_);
-  // Optional int8 decode trailer: a presence flag, then (q, scales) per
-  // projection panel in layout order (per layer: qkv, o, w1, w2; then the
-  // head). Quantization is a pure function of the weights, so packing the
-  // image at snapshot time and rebuilding it at load time give identical
-  // bytes; readers of pre-trailer snapshots stop before these bytes and
-  // quantize from the fp32 weights instead.
-  writer.PutPod(static_cast<std::uint32_t>(int8_ != nullptr ? 1 : 0));
-  if (int8_ != nullptr) {
-    auto put_panel = [&writer](const TransformerInt8Weights::Panel& p) {
-      writer.PutArray(p.q);
-      writer.PutArray(p.s);
-    };
-    for (const TransformerInt8Weights::Layer& l : int8_->layers) {
-      put_panel(l.qkv);
-      put_panel(l.o);
-      put_panel(l.w1);
-      put_panel(l.w2);
-    }
-    put_panel(int8_->head);
-  }
 }
 
 Result<Transformer> Transformer::FromArena(
@@ -1157,44 +878,6 @@ Result<Transformer> Transformer::FromArena(
     return Status::IOError("transformer snapshot arrays do not match config");
   }
   model.keepalive_ = std::move(keepalive);
-  // Optional int8 trailer (absent in pre-trailer snapshots). The panels
-  // alias the mapping zero-copy; the image pins the snapshot itself so it
-  // outlives a later Detach().
-  if (reader.remaining() > 0) {
-    DIMQR_ASSIGN_OR_RETURN(std::uint32_t flag, reader.GetPod<std::uint32_t>());
-    if (flag != 0) {
-      auto image = std::make_shared<TransformerInt8Weights>();
-      image->layers.resize(static_cast<std::size_t>(config.n_layers));
-      const int D = config.d_model, F = config.d_ff, V = config.vocab_size;
-      struct PanelShape {
-        TransformerInt8Weights::Panel* panel;
-        int k, n;
-      };
-      std::vector<PanelShape> shapes;
-      for (auto& l : image->layers) {
-        shapes.push_back({&l.qkv, D, 3 * D});
-        shapes.push_back({&l.o, D, D});
-        shapes.push_back({&l.w1, D, F});
-        shapes.push_back({&l.w2, F, D});
-      }
-      shapes.push_back({&image->head, D, V});
-      for (const PanelShape& ps : shapes) {
-        DIMQR_ASSIGN_OR_RETURN(ps.panel->q, reader.GetArray<std::int8_t>());
-        DIMQR_ASSIGN_OR_RETURN(ps.panel->s, reader.GetArray<float>());
-        if (ps.panel->q.size() !=
-                static_cast<std::size_t>(ps.k) * static_cast<std::size_t>(ps.n) ||
-            ps.panel->s.size() != static_cast<std::size_t>(ps.k)) {
-          return Status::IOError(
-              "transformer int8 sections do not match config");
-        }
-      }
-      image->keepalive = model.keepalive_;
-      if (Int8DecodeDefault()) model.int8_ = std::move(image);
-    }
-  }
-  if (Int8DecodeDefault() && model.int8_ == nullptr) {
-    model.EnableInt8Decode(true);
-  }
   return model;
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/aligned.h"
@@ -23,11 +22,14 @@
 /// paper's central effect (RQ2): dimensional knowledge is learnable from
 /// the constructed datasets and transfers to held-out instances.
 ///
-/// Inference fast path (DESIGN.md "Inference fast path"): prompts are
-/// prefilled as one multi-row forward pass (`Prefill`) into a reusable
-/// `DecodeState` arena, then extended one token at a time (`Step`). Both
-/// paths produce bit-identical logits, so every downstream table is
-/// byte-identical whichever path filled the KV cache.
+/// One forward pass (DESIGN.md §8): a single row-batched `Forward` runs
+/// every layer for training (`Loss`, `TrainBatch`) and for decoding, where
+/// prompts are prefilled as one multi-row pass (`Prefill`) into a reusable
+/// `DecodeState` arena and then extended one token at a time (`Step`, a
+/// one-token `Prefill`). A row's arithmetic does not depend on how many
+/// rows share the pass, so the decode logits after a prefix are exactly the
+/// ones training scores, and every downstream table is byte-identical
+/// whichever way the KV cache was filled.
 ///
 /// The implementation is deterministic (seeded init, no dropout).
 
@@ -36,7 +38,7 @@ namespace dimqr::lm {
 class PrefixCache;
 class Transformer;
 class TransformerLayout;
-struct TransformerInt8Weights;
+struct ForwardActivations;
 
 /// \brief Architecture and optimization sizes.
 struct TransformerConfig {
@@ -59,8 +61,8 @@ struct LmExample {
 };
 
 /// \brief Reusable incremental-decoding arena: the per-layer KV cache plus
-/// every scratch buffer `Prefill`/`Step` need, all preallocated to the
-/// model's `max_seq` capacity by `Bind`. Steady-state decoding through a
+/// the forward pass's scratch rows, all preallocated to the model's
+/// `max_seq` capacity by `Bind`. Steady-state decoding through a
 /// bound state performs zero heap allocations per token (pinned by
 /// tests/lm/decode_alloc_test.cc).
 ///
@@ -103,10 +105,11 @@ class DecodeState {
   /// the public logits() type.
   std::vector<AlignedVec<float>> keys_;
   std::vector<AlignedVec<float>> values_;
-  // Single-row scratch (Step).
-  AlignedVec<float> x_, ln_, qkv_, ctx_, proj_, ff_, att_, h_;
+  // One attention row (max_seq) and the final LayerNorm row of the head.
+  AlignedVec<float> att_, h_;
   std::vector<float> logits_;
-  // Multi-row scratch (Prefill), max_seq rows each.
+  // Forward's row scratch, max_seq rows each; rows_x_ is the residual
+  // stream and holds the final residual rows after a pass.
   AlignedVec<float> rows_x_, rows_ln_, rows_qkv_, rows_ctx_, rows_proj_,
       rows_ff_;
 };
@@ -142,19 +145,6 @@ class Transformer {
   /// object's own vectors.
   bool borrowed() const { return params_v_.data() != params_.data(); }
 
-  /// \brief Whether decode-path projections (Step/Prefill) run through the
-  /// int8 weight-quantized kernels. Defaults to DIMQR_INT8=1 in the
-  /// environment; off otherwise. Training and Loss always run fp32.
-  bool int8_decode() const { return int8_ != nullptr; }
-
-  /// Turns the int8 decode path on (quantizing the current weights if
-  /// needed) or off. Quantization is deterministic, so enabling it on two
-  /// copies of the same weights yields identical decode results.
-  void EnableInt8Decode(bool enabled);
-
-  /// True when DIMQR_INT8=1 (read once per process).
-  static bool Int8DecodeDefault();
-
   /// \brief Mean masked cross-entropy of one example (no gradient).
   dimqr::Result<double> Loss(const LmExample& example) const;
 
@@ -181,10 +171,12 @@ class Transformer {
     return Prefill(tokens.data(), static_cast<int>(tokens.size()), state);
   }
 
-  /// \brief One incremental decode step: appends `token`'s K/V rows to the
-  /// cache and leaves the next-token logits in `state.logits()`. The
-  /// per-token reference path Prefill must match bit for bit.
-  dimqr::Status Step(DecodeState& state, int token) const;
+  /// \brief One incremental decode step: a one-token `Prefill`, appending
+  /// `token`'s K/V rows and leaving the next-token logits in
+  /// `state.logits()`.
+  dimqr::Status Step(DecodeState& state, int token) const {
+    return Prefill(&token, 1, state);
+  }
 
   /// \brief Greedy decoding: appends tokens until `eos` or `max_new`.
   /// Returns only the newly generated ids (without `eos`). The prompt is
@@ -217,11 +209,6 @@ class Transformer {
                                       DecodeState& state,
                                       PrefixCache* cache) const;
 
-  /// Weight persistence: a single-section snapshot container (see
-  /// core/snapshot.h). Load memory-maps and aliases the weights zero-copy.
-  dimqr::Status Save(const std::string& path) const;
-  static dimqr::Result<Transformer> Load(const std::string& path);
-
   /// Appends config, weights, and optimizer state to a snapshot arena.
   void WriteTo(snapshot::ArenaWriter& writer) const;
 
@@ -250,19 +237,25 @@ class Transformer {
     adam_v_v_ = adam_v_;
   }
 
-  /// Forward pass; when `grads` is non-null also runs backward, adding
-  /// parameter gradients into it. Returns the mean masked CE loss, or an
-  /// error for empty/oversized/invalid inputs.
+  /// \brief The forward pass: runs `n` rows at positions
+  /// [state.position(), +n) through every layer, appends their K/V rows to
+  /// `state` and leaves the final residual rows (before the last LayerNorm)
+  /// in `state.rows_x_`. A non-null `acts` (state at position 0) only
+  /// redirects where each layer writes, keeping what backward reads; the
+  /// arithmetic is the same. Binds `state` if needed; OutOfRange past
+  /// max_seq, InvalidArgument on out-of-vocabulary tokens.
+  dimqr::Status Forward(const int* tokens, int n, DecodeState& state,
+                        ForwardActivations* acts) const;
+
+  /// Forward pass over the left-truncated example; when `grads` is non-null
+  /// also runs backward, adding parameter gradients into it. Returns the
+  /// mean masked CE loss, or an error for empty/oversized/invalid inputs.
   dimqr::Result<double> ForwardBackward(const LmExample& example,
                                         AlignedVec<float>* grads) const;
 
-  /// Re-quantizes the current weights into int8_ (when the int8 decode
-  /// path is on). Called after any weight mutation or reseat.
-  void RebuildInt8();
-
   TransformerConfig config_;
   /// Parameter offsets — a pure function of config_, computed once at
-  /// Create/Load and shared by copies (the old code rebuilt it on every
+  /// Create/FromArena and shared by copies (the old code rebuilt it on every
   /// forward pass and decode step).
   std::shared_ptr<const TransformerLayout> layout_;
 
@@ -273,11 +266,6 @@ class Transformer {
   AlignedVec<float> adam_m_;
   AlignedVec<float> adam_v_;
   std::int64_t adam_step_ = 0;
-
-  /// Int8 decode weights (null when the int8 path is off). Shared so
-  /// copies of an unchanged model share one quantized image; rebuilt
-  /// eagerly whenever the fp32 weights change.
-  std::shared_ptr<const TransformerInt8Weights> int8_;
 
   // Read-side views; alias the vectors above or a snapshot mapping.
   std::span<const float> params_v_;

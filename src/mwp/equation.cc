@@ -80,7 +80,9 @@ class Parser {
     char c = text_[pos_];
     if (c == '(') {
       ++pos_;
+      DIMQR_RETURN_NOT_OK(Descend());
       DIMQR_ASSIGN_OR_RETURN(Equation e, ParseExpr());
+      --depth_;
       SkipSpace();
       if (pos_ >= text_.size() || text_[pos_] != ')') {
         return Status::ParseError("missing ')' in equation");
@@ -90,7 +92,9 @@ class Parser {
     }
     if (c == '-') {
       ++pos_;
+      DIMQR_RETURN_NOT_OK(Descend());
       DIMQR_ASSIGN_OR_RETURN(Equation inner, ParseFactor());
+      --depth_;
       return Equation::Binary('-', Equation::Number(0.0), std::move(inner));
     }
     if (std::isdigit(static_cast<unsigned char>(c)) || c == '.') {
@@ -134,8 +138,19 @@ class Parser {
                               "' in equation");
   }
 
+  /// Enters one parenthesis or unary minus. The descent recurses once per
+  /// level, so unbounded nesting would exhaust the stack; an error leaves
+  /// depth_ raised, but it also ends the parse.
+  Status Descend() {
+    if (++depth_ > Equation::kMaxNesting) {
+      return Status::ParseError("equation nested too deeply");
+    }
+    return Status::OK();
+  }
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -30,8 +30,13 @@ class Equation {
   /// A binary node; op in {+, -, *, /}.
   static Equation Binary(char op, Equation lhs, Equation rhs);
 
-  /// \brief Parses an equation string. Returns ParseError on junk,
-  /// InvalidArgument on unsupported operators.
+  /// Deepest parenthesis / unary-minus nesting Parse accepts; generated
+  /// equations nest a few levels.
+  static constexpr int kMaxNesting = 256;
+
+  /// \brief Parses an equation string. Returns ParseError on junk or on
+  /// nesting deeper than kMaxNesting, InvalidArgument on unsupported
+  /// operators.
   static dimqr::Result<Equation> Parse(std::string_view text);
 
   /// \brief Evaluates the tree. Division by zero is InvalidArgument.

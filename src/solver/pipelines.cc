@@ -119,10 +119,8 @@ std::vector<SeqExample> MakeGenericInstructionExamples(int n,
   return out;
 }
 
-Result<std::unique_ptr<Seq2SeqModel>> TrainDimPerc(
-    const dimeval::DimEvalBenchmark& bench, const kb::DimUnitKB& kb,
-    const Seq2SeqConfig& config, int epochs,
-    std::vector<SeqExample> extra_examples) {
+std::vector<SeqExample> MakeDimPercExamples(
+    const dimeval::DimEvalBenchmark& bench, const kb::DimUnitKB& kb) {
   std::vector<SeqExample> train = MakeDimEvalExamples(bench.train);
   // Knowledge infusion (Section IV-D): unit->dimension, unit->scale,
   // kind->dimension and pairwise conversion-factor associations.
@@ -132,9 +130,16 @@ Result<std::unique_ptr<Seq2SeqModel>> TrainDimPerc(
   train.insert(train.end(), knowledge.begin(), knowledge.end());
   train.insert(train.end(), kinds.begin(), kinds.end());
   train.insert(train.end(), conversions.begin(), conversions.end());
+  return train;
+}
+
+Result<std::unique_ptr<Seq2SeqModel>> TrainDimPerc(
+    const dimeval::DimEvalBenchmark& bench, const kb::DimUnitKB& kb,
+    const Seq2SeqConfig& config, int epochs,
+    std::vector<SeqExample> extra_examples) {
   DIMQR_ASSIGN_OR_RETURN(
       std::unique_ptr<Seq2SeqModel> model,
-      Seq2SeqModel::Create("DimPerc", std::move(train), config,
+      Seq2SeqModel::Create("DimPerc", MakeDimPercExamples(bench, kb), config,
                            extra_examples));
   DIMQR_RETURN_NOT_OK(model->TrainEpochs(epochs).status());
   return model;

@@ -45,7 +45,12 @@ std::vector<SeqExample> MakeUnitKnowledgeExamples(const kb::DimUnitKB& kb,
 std::vector<SeqExample> MakeGenericInstructionExamples(int n,
                                                        std::uint64_t seed);
 
-/// \brief Trains DimPerc: a Seq2SeqModel over the DimEval training split.
+/// \brief DimPerc's training mix: the DimEval training split's choice pairs
+/// followed by the unit, kind and conversion knowledge pairs.
+std::vector<SeqExample> MakeDimPercExamples(
+    const dimeval::DimEvalBenchmark& bench, const kb::DimUnitKB& kb);
+
+/// \brief Trains DimPerc: a Seq2SeqModel over MakeDimPercExamples.
 /// `extra_examples` (e.g. MWP pairs for later fine-tuning phases) are
 /// included in vocabulary construction but not trained here.
 dimqr::Result<std::unique_ptr<Seq2SeqModel>> TrainDimPerc(

@@ -131,10 +131,14 @@ class Seq2SeqModel : public lm::Model {
   std::size_t train_size() const { return train_.size(); }
   std::int64_t steps_taken() const { return steps_; }
 
+  /// \brief The training sequence Train* feeds the transformer:
+  /// "<bos> input <sep> middle <sep> answer <eos>", with loss on every
+  /// token after the first <sep>.
+  lm::LmExample EncodeExample(const SeqExample& example) const;
+
  private:
   Seq2SeqModel() = default;
 
-  lm::LmExample EncodeExample(const SeqExample& example) const;
   std::vector<std::string> TokenizeInput(const std::string& text) const;
   std::vector<std::string> TokenizeMiddle(const std::string& text,
                                           bool is_equation) const;

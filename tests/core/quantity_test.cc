@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
+#include <string>
+
 namespace dimqr {
 namespace {
 
@@ -171,6 +175,10 @@ struct ConvertCase {
   std::int64_t scale_num, scale_den;
 };
 
+/// Printed next to each listed test (and into its ctest name) instead of
+/// the raw struct bytes.
+void PrintTo(const ConvertCase& c, std::ostream* os) { *os << c.value; }
+
 class QuantityRoundTripTest : public ::testing::TestWithParam<ConvertCase> {};
 
 TEST_P(QuantityRoundTripTest, ThereAndBack) {
@@ -189,7 +197,21 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvertCase{-3.5, 1609344, 1000},
                       ConvertCase{1e6, 254, 10000},
                       ConvertCase{0.0, 9144, 10000},
-                      ConvertCase{123.456, 1, 1000000}));
+                      ConvertCase{123.456, 1, 1000000}),
+    [](const ::testing::TestParamInfo<ConvertCase>& info) {
+      // "<value>_via_<num>_<den>": {-3.5, 1609344, 1000} ->
+      // "minus3p5_via_1609344_1000".
+      char value[32];
+      std::snprintf(value, sizeof(value), "%g", info.param.value);
+      std::string name;
+      for (const char* p = value; *p != '\0'; ++p) {
+        if (*p == '.') name += 'p';
+        else if (*p == '-') name += "minus";
+        else if (*p != '+') name += *p;
+      }
+      return name + "_via_" + std::to_string(info.param.scale_num) + "_" +
+             std::to_string(info.param.scale_den);
+    });
 
 }  // namespace
 }  // namespace dimqr

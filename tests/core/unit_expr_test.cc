@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
 
 namespace dimqr {
 namespace {
@@ -125,6 +127,24 @@ TEST(UnitExprTest, MalformedInputsRejected) {
   EXPECT_FALSE(UnitExpr::Parse("m^x").ok());
 }
 
+TEST(UnitExprTest, NestingDepthIsBounded) {
+  // One recursion per parenthesis: past the limit Parse fails cleanly
+  // instead of exhausting the stack.
+  auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '(') + "m" +
+           std::string(static_cast<std::size_t>(depth), ')');
+  };
+  EXPECT_EQ(UnitExpr::Parse(nested(100000)).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(UnitExpr::Parse(nested(UnitExpr::kMaxNesting + 1)).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(UnitExpr::Parse(nested(UnitExpr::kMaxNesting))
+                .ValueOrDie()
+                .EvaluateDimension(TestResolver())
+                .ValueOrDie(),
+            dims::Length());
+}
+
 TEST(UnitExprTest, ToStringRoundTripsThroughParse) {
   const char* exprs[] = {"m/s^2", "joule*metre", "km/h", "(m/s)*s"};
   for (const char* text : exprs) {
@@ -142,6 +162,12 @@ struct ArithCase {
   const char* formula;
 };
 
+/// gtest prints the parameter next to each listed test, and CMake's test
+/// discovery appends that to a named case's ctest name. Without PrintTo it
+/// would be the raw struct bytes, whose pointers change in every process;
+/// the name already spells the expression, so print the expected formula.
+void PrintTo(const ArithCase& c, std::ostream* os) { *os << c.formula; }
+
 class DimensionArithmeticTest : public ::testing::TestWithParam<ArithCase> {};
 
 TEST_P(DimensionArithmeticTest, MatchesExpectedFormula) {
@@ -150,6 +176,22 @@ TEST_P(DimensionArithmeticTest, MatchesExpectedFormula) {
   EXPECT_EQ(e.EvaluateDimension(TestResolver()).ValueOrDie().ToFormula(),
             c.formula)
       << c.expr;
+}
+
+/// Test name from the expression, parentheses dropped: "kilogram*m/s^2" ->
+/// "kilogram_x_m_per_s_pow_2".
+std::string ArithCaseName(const ::testing::TestParamInfo<ArithCase>& info) {
+  std::string name;
+  for (const char* p = info.param.expr; *p != '\0'; ++p) {
+    switch (*p) {
+      case '*': name += "_x_"; break;
+      case '/': name += "_per_"; break;
+      case '^': name += "_pow_"; break;
+      case '(': case ')': break;
+      default: name += *p;
+    }
+  }
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -161,7 +203,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ArithCase{"m*m*m/s", "L3T-1"},
                       ArithCase{"m/m", "D"},
                       ArithCase{"cm^3", "L3"},
-                      ArithCase{"newton/(m*m)", "L-1MT-2"}));
+                      ArithCase{"newton/(m*m)", "L-1MT-2"}),
+    ArithCaseName);
 
 }  // namespace
 }  // namespace dimqr

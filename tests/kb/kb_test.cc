@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <ostream>
 #include <span>
+#include <string>
 #include <unordered_set>
 
 namespace dimqr::kb {
@@ -407,6 +410,10 @@ struct ConvCase {
   double factor;
 };
 
+/// Printed next to each listed test (and into its ctest name) instead of
+/// the raw struct bytes, whose pointers change in every process.
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.factor; }
+
 class KbConversionSweep : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(KbConversionSweep, FactorMatches) {
@@ -429,7 +436,13 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{"JIN_CN", "GM", 500.0},
                       ConvCase{"MU_CN", "M2", 2000.0 / 3.0},
                       ConvCase{"KNOT", "KiloM-PER-HR", 1.852},
-                      ConvCase{"LY", "M", 9460730472580800.0}));
+                      ConvCase{"LY", "M", 9460730472580800.0}),
+    [](const ::testing::TestParamInfo<ConvCase>& info) {
+      // "KNOT" -> "KiloM-PER-HR" is named "KNOT_to_KiloM_PER_HR".
+      std::string name = std::string(info.param.from) + "_to_" + info.param.to;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace dimqr::kb

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <string>
 
 namespace dimqr::linking {
 namespace {
@@ -134,6 +137,10 @@ struct SurfaceCase {
   const char* expected_id;
 };
 
+/// Printed next to each listed test instead of the raw struct bytes, whose
+/// pointers change in every process.
+void PrintTo(const SurfaceCase& c, std::ostream* os) { *os << c.mention; }
+
 class LinkerSurfaceSweep : public ::testing::TestWithParam<SurfaceCase> {};
 
 TEST_P(LinkerSurfaceSweep, LinksToExpectedUnit) {
@@ -155,7 +162,13 @@ INSTANTIATE_TEST_SUITE_P(
         SurfaceCase{"ml", "add 250 ml of milk", "MilliLITRE"},
         SurfaceCase{"km/h", "the car drove fast", "KiloM-PER-HR"},
         SurfaceCase{"mmHg", "blood pressure reading", "MMHG"},
-        SurfaceCase{"kWh", "the electricity bill", "KiloWH"}));
+        SurfaceCase{"kWh", "the electricity bill", "KiloWH"}),
+    [](const ::testing::TestParamInfo<SurfaceCase>& info) {
+      // Named after the expected unit: "KiloM-PER-HR" -> "KiloM_PER_HR".
+      std::string name = info.param.expected_id;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace dimqr::linking

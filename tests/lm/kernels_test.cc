@@ -2,21 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include "core/rng.h"
-#include "lm/transformer.h"
 
 // Property tests for the dispatching kernel layer: every vector tier must be
 // bit-identical to the scalar tier (which is itself pinned against the naive
-// reference elsewhere), fused epilogues must equal the unfused two-pass
-// form bitwise, and the int8 path must respect its analytic drift bound and
-// preserve greedy argmax on a trained model. Shapes deliberately include
-// primes, odd sizes, sub-vector-width dims, and tile-straddling sizes.
+// reference elsewhere), and fused epilogues must equal the unfused two-pass
+// form bitwise. Shapes deliberately include primes, odd sizes,
+// sub-vector-width dims, and tile-straddling sizes.
 
 namespace dimqr::lm {
 namespace {
@@ -138,32 +134,6 @@ TEST(KernelTierTest, GradBBitIdenticalAcrossTiers) {
   }
 }
 
-TEST(KernelTierTest, Int8MatMulBitIdenticalAcrossTiers) {
-  std::vector<k::Isa> tiers = VectorTiers();
-  if (tiers.empty()) GTEST_SKIP() << "no vector tier on this host";
-  Rng rng(104);
-  for (auto [m, kk, n] : Shapes()) {
-    std::vector<float> a = RandomMatrix(rng, m, kk);
-    std::vector<float> w = RandomMatrix(rng, kk, n);
-    std::vector<std::int8_t> q(static_cast<std::size_t>(kk) * n);
-    std::vector<float> scales(static_cast<std::size_t>(kk));
-    k::QuantizeRowsInt8(w.data(), kk, n, q.data(), scales.data());
-    std::vector<float> c_scalar(static_cast<std::size_t>(m) * n, 3.0f);
-    {
-      k::ScopedIsaForTest forced(k::Isa::kScalar);
-      k::MatMulInt8(a.data(), q.data(), scales.data(), c_scalar.data(), m, kk,
-                    n);
-    }
-    for (k::Isa isa : tiers) {
-      std::vector<float> c(static_cast<std::size_t>(m) * n, -3.0f);
-      k::ScopedIsaForTest forced(isa);
-      k::MatMulInt8(a.data(), q.data(), scales.data(), c.data(), m, kk, n);
-      ASSERT_EQ(c, c_scalar) << k::IsaName(isa) << " m=" << m << " k=" << kk
-                             << " n=" << n;
-    }
-  }
-}
-
 /// The unfused reference for the elementwise epilogue + row softmax,
 /// mirroring the documented contract in kernels.h.
 void ReferenceEpilogue(const std::vector<float>& c, const k::Epilogue& e,
@@ -261,147 +231,6 @@ TEST(KernelFusionTest, FusedEpilogueMatchesUnfusedBitwiseOnEveryTier) {
       ASSERT_EQ(soft, want_soft) << k::IsaName(isa) << " (softmax rows)";
     }
   }
-}
-
-TEST(Int8QuantizeTest, PerRowScalesBoundRoundtripError) {
-  Rng rng(106);
-  const int kk = 61, n = 129;
-  std::vector<float> w = RandomMatrix(rng, kk, n, 0.05);
-  // One exactly-zero row must quantize to scale 1, all-zero codes.
-  for (int j = 0; j < n; ++j) w[static_cast<std::size_t>(7) * n + j] = 0.0f;
-  std::vector<std::int8_t> q(static_cast<std::size_t>(kk) * n);
-  std::vector<float> scales(kk);
-  k::QuantizeRowsInt8(w.data(), kk, n, q.data(), scales.data());
-  for (int p = 0; p < kk; ++p) {
-    float absmax = 0.0f;
-    for (int j = 0; j < n; ++j) {
-      absmax = std::max(absmax, std::fabs(w[static_cast<std::size_t>(p) * n + j]));
-    }
-    if (absmax == 0.0f) {
-      EXPECT_EQ(scales[p], 1.0f) << "row " << p;
-      for (int j = 0; j < n; ++j) {
-        ASSERT_EQ(q[static_cast<std::size_t>(p) * n + j], 0);
-      }
-      continue;
-    }
-    EXPECT_FLOAT_EQ(scales[p], absmax / 127.0f);
-    for (int j = 0; j < n; ++j) {
-      std::size_t idx = static_cast<std::size_t>(p) * n + j;
-      float recon = static_cast<float>(q[idx]) * scales[p];
-      // Round-to-nearest: at most half a quantization step, plus fp slack.
-      ASSERT_LE(std::fabs(recon - w[idx]), 0.5f * scales[p] * (1.0f + 1e-5f))
-          << "row " << p << " col " << j;
-      ASSERT_GE(q[idx], -127);
-      ASSERT_LE(q[idx], 127);
-    }
-  }
-  // Determinism: quantizing twice yields identical bytes.
-  std::vector<std::int8_t> q2(q.size());
-  std::vector<float> scales2(scales.size());
-  k::QuantizeRowsInt8(w.data(), kk, n, q2.data(), scales2.data());
-  EXPECT_EQ(q, q2);
-  EXPECT_EQ(scales, scales2);
-}
-
-TEST(Int8QuantizeTest, MatMulDriftWithinAnalyticBound) {
-  Rng rng(107);
-  for (auto [m, kk, n] : {std::tuple{1, 64, 512}, std::tuple{7, 61, 127},
-                          std::tuple{16, 128, 256}}) {
-    std::vector<float> a = RandomMatrix(rng, m, kk, 0.0);
-    std::vector<float> w = RandomMatrix(rng, kk, n, 0.0);
-    std::vector<std::int8_t> q(static_cast<std::size_t>(kk) * n);
-    std::vector<float> scales(kk);
-    k::QuantizeRowsInt8(w.data(), kk, n, q.data(), scales.data());
-    std::vector<float> c32(static_cast<std::size_t>(m) * n);
-    std::vector<float> c8(static_cast<std::size_t>(m) * n);
-    k::MatMul(a.data(), w.data(), c32.data(), m, kk, n);
-    k::MatMulInt8(a.data(), q.data(), scales.data(), c8.data(), m, kk, n);
-    for (int i = 0; i < m; ++i) {
-      // Per-row bound: each weight is off by at most scale/2, so the dot
-      // drifts by at most sum_p |a[i][p]| * scales[p] / 2 (plus fp slack
-      // for the accumulation itself).
-      float bound = 0.0f;
-      for (int p = 0; p < kk; ++p) {
-        bound += std::fabs(a[static_cast<std::size_t>(i) * kk + p]) *
-                 scales[p] * 0.5f;
-      }
-      bound = bound * (1.0f + 1e-4f) + 1e-5f;
-      for (int j = 0; j < n; ++j) {
-        std::size_t idx = static_cast<std::size_t>(i) * n + j;
-        ASSERT_LE(std::fabs(c8[idx] - c32[idx]), bound)
-            << "m=" << m << " i=" << i << " j=" << j;
-      }
-    }
-  }
-}
-
-/// The model-level equivalence gate: int8 decode must reproduce fp32 greedy
-/// decoding exactly (same argmax at every step) on a trained model, and the
-/// logit drift must stay far below the decision margins training creates.
-TEST(Int8DecodeTest, GreedyMatchesFp32OnTrainedModel) {
-  TransformerConfig c;
-  c.vocab_size = 24;
-  c.d_model = 16;
-  c.n_heads = 2;
-  c.n_layers = 2;
-  c.d_ff = 32;
-  c.max_seq = 16;
-  c.seed = 7;
-  auto model_or = Transformer::Create(c);
-  ASSERT_TRUE(model_or.ok());
-  Transformer model = std::move(model_or).ValueOrDie();
-
-  // Overfit a few fixed sequences so decoding has confident margins.
-  std::vector<LmExample> batch;
-  for (int s = 0; s < 4; ++s) {
-    LmExample e;
-    e.tokens = {1, 6 + s, 7 + s, 8 + s, 9 + s, 2};
-    e.loss_mask.assign(e.tokens.size(), 0);
-    for (std::size_t i = 2; i < e.tokens.size(); ++i) e.loss_mask[i] = 1;
-    batch.push_back(std::move(e));
-  }
-  double first_loss = 0.0, last_loss = 0.0;
-  for (int step = 0; step < 150; ++step) {
-    auto loss = model.TrainBatch(batch, 3e-3);
-    ASSERT_TRUE(loss.ok());
-    if (step == 0) first_loss = loss.ValueOrDie();
-    last_loss = loss.ValueOrDie();
-  }
-  ASSERT_LT(last_loss, first_loss);
-
-  Transformer quantized = model;
-  ASSERT_FALSE(quantized.int8_decode());
-  quantized.EnableInt8Decode(true);
-  ASSERT_TRUE(quantized.int8_decode());
-
-  for (int s = 0; s < 4; ++s) {
-    std::vector<int> prefix = {1, 6 + s};
-    auto fp32 = model.Greedy(prefix, 8, 2);
-    auto int8 = quantized.Greedy(prefix, 8, 2);
-    ASSERT_TRUE(fp32.ok());
-    ASSERT_TRUE(int8.ok());
-    EXPECT_EQ(fp32.ValueOrDie(), int8.ValueOrDie()) << "sequence " << s;
-
-    auto l32 = model.NextLogits(prefix);
-    auto l8 = quantized.NextLogits(prefix);
-    ASSERT_TRUE(l32.ok());
-    ASSERT_TRUE(l8.ok());
-    float spread = *std::max_element(l32.ValueOrDie().begin(), l32.ValueOrDie().end()) -
-                   *std::min_element(l32.ValueOrDie().begin(), l32.ValueOrDie().end());
-    for (std::size_t v = 0; v < l32.ValueOrDie().size(); ++v) {
-      ASSERT_LE(std::fabs(l8.ValueOrDie()[v] - l32.ValueOrDie()[v]), 0.05f * spread)
-          << "logit " << v;
-    }
-  }
-
-  // Turning the path back off restores exact fp32 behavior.
-  quantized.EnableInt8Decode(false);
-  ASSERT_FALSE(quantized.int8_decode());
-  auto again = quantized.NextLogits({1, 6});
-  auto ref = model.NextLogits({1, 6});
-  ASSERT_TRUE(again.ok());
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(again.ValueOrDie(), ref.ValueOrDie());
 }
 
 }  // namespace

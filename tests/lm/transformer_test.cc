@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <filesystem>
 
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -161,23 +161,6 @@ TEST(TransformerTest, TrainBatchRejectsEmpty) {
   EXPECT_FALSE(m.TrainBatch({}, 1e-3).ok());
 }
 
-TEST(TransformerTest, SaveLoadRoundTrip) {
-  Transformer m = Transformer::Create(TinyConfig()).ValueOrDie();
-  LmExample e = MakeExample({1, 7, 8, 9, 2}, 2);
-  ASSERT_TRUE(m.TrainBatch({e}, 1e-3).ok());
-  std::string path =
-      (std::filesystem::temp_directory_path() / "dimqr_tf_test.bin").string();
-  ASSERT_TRUE(m.Save(path).ok());
-  Transformer loaded = Transformer::Load(path).ValueOrDie();
-  EXPECT_EQ(loaded.num_parameters(), m.num_parameters());
-  EXPECT_DOUBLE_EQ(loaded.Loss(e).ValueOrDie(), m.Loss(e).ValueOrDie());
-  std::filesystem::remove(path);
-}
-
-TEST(TransformerTest, LoadRejectsMissing) {
-  EXPECT_FALSE(Transformer::Load("/no/such/model.bin").ok());
-}
-
 TEST(TransformerTest, CachedDecoderMatchesFullForward) {
   // Greedy uses the KV-cache decoder; its next-token choice must match the
   // full-forward NextLogits path at every step.
@@ -201,6 +184,42 @@ TEST(TransformerTest, CachedDecoderMatchesFullForward) {
     slow_sequence.push_back(best);
   }
   EXPECT_EQ(generated, slow_generated);
+}
+
+TEST(TransformerTest, LastTokenLossIsCrossEntropyOfNextLogits) {
+  // Training and decode share one forward pass: for an example whose only
+  // loss position is its last token, Loss must equal, bit for bit, the
+  // cross-entropy of NextLogits over the prefix under the head softmax that
+  // kernels.h documents for Epilogue::softmax_rows.
+  Transformer m = Transformer::Create(TinyConfig()).ValueOrDie();
+  LmExample warm = MakeExample({1, 7, 8, 9, 10, 2}, 2);
+  for (int step = 0; step < 20; ++step) {
+    ASSERT_TRUE(m.TrainBatch({warm}, 3e-3).ok());
+  }
+  const std::vector<std::vector<int>> sequences = {
+      {1, 7, 8, 9, 10, 2},
+      {1, 11, 12, 3, 11},
+      {1, 6, 6, 6, 6, 6, 6, 6, 6, 9},
+      {1, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 2},
+      {4, 5},
+  };
+  for (const std::vector<int>& tokens : sequences) {
+    LmExample e = MakeExample(tokens, tokens.size() - 1);
+    std::vector<int> prefix(tokens.begin(), tokens.end() - 1);
+    std::vector<float> logits = m.NextLogits(prefix).ValueOrDie();
+    float maxv = -1e30f;
+    for (float v : logits) {
+      if (v > maxv) maxv = v;
+    }
+    float denom = 0.0f;
+    for (float& v : logits) {
+      v = std::exp(v - maxv);
+      denom += v;
+    }
+    float p = logits[static_cast<std::size_t>(tokens.back())] * (1.0f / denom);
+    double want = -static_cast<double>(std::log(std::max(p, 1e-12f)));
+    EXPECT_EQ(m.Loss(e).ValueOrDie(), want) << "length " << tokens.size();
+  }
 }
 
 // ---------------------------------------------------------------------------

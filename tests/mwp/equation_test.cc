@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace dimqr::mwp {
 namespace {
 
@@ -99,6 +101,35 @@ TEST(EquationTest, MinimalParentheses) {
       '-', Equation::Number(10),
       Equation::Binary('-', Equation::Number(4), Equation::Number(3)));
   EXPECT_EQ(g.ToString(), "10-(4-3)");
+}
+
+TEST(EquationTest, NestingDepthIsBounded) {
+  // The descent recurses once per parenthesis or unary minus; past the
+  // limit Parse must fail cleanly instead of exhausting the stack.
+  auto parens = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '(') + "1" +
+           std::string(static_cast<std::size_t>(depth), ')');
+  };
+  auto minuses = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '-') + "1";
+  };
+  EXPECT_EQ(Equation::Parse(parens(100000)).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(Equation::Parse(minuses(100000)).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(Equation::Parse(parens(Equation::kMaxNesting + 1)).status().code(),
+            StatusCode::kParseError);
+  EXPECT_DOUBLE_EQ(Equation::Parse(parens(Equation::kMaxNesting))
+                       .ValueOrDie()
+                       .Evaluate()
+                       .ValueOrDie(),
+                   1.0);
+  // An even number of negations is the identity.
+  EXPECT_DOUBLE_EQ(Equation::Parse(minuses(Equation::kMaxNesting))
+                       .ValueOrDie()
+                       .Evaluate()
+                       .ValueOrDie(),
+                   1.0);
 }
 
 TEST(EquationAnswersMatchTest, CalculatorScoring) {

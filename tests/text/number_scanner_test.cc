@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace dimqr::text {
 namespace {
 
@@ -125,6 +128,10 @@ struct ScanCase {
   double expected;
 };
 
+/// Printed next to each listed test (and into its ctest name) instead of
+/// the raw struct bytes, whose pointer changes in every process.
+void PrintTo(const ScanCase& c, std::ostream* os) { *os << c.expected; }
+
 class NumberValueSweep : public ::testing::TestWithParam<ScanCase> {};
 
 TEST_P(NumberValueSweep, ParsesToExpectedValue) {
@@ -141,7 +148,24 @@ INSTANTIATE_TEST_SUITE_P(
                       ScanCase{"x 2.5e-2 y", 0.025},
                       ScanCase{"x 50% y", 0.5}, ScanCase{"x 1/8 y", 0.125},
                       ScanCase{"x +7 y", 7.0}, ScanCase{"x -2.5 y", -2.5},
-                      ScanCase{"x 10,000 y", 10000.0}));
+                      ScanCase{"x 10,000 y", 10000.0}),
+    [](const ::testing::TestParamInfo<ScanCase>& info) {
+      // Named after the text: "x -2.5 y" -> "x_minus2p5_y".
+      std::string name;
+      for (const char* p = info.param.text; *p != '\0'; ++p) {
+        switch (*p) {
+          case ' ': name += "_"; break;
+          case '.': name += "p"; break;
+          case '%': name += "pct"; break;
+          case '/': name += "_over_"; break;
+          case '+': name += "plus"; break;
+          case '-': name += "minus"; break;
+          case ',': name += "comma"; break;
+          default: name += *p;
+        }
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace dimqr::text
