@@ -15,7 +15,8 @@
 
 /// \file common.h
 /// Shared fixtures for the table/figure reproduction binaries: the
-/// knowledge system (KB + linker + annotator), standard benchmark sizes,
+/// knowledge system (the KB, and the linker + annotator built on first
+/// use), standard benchmark sizes,
 /// and the DimPerc model configuration. Every bench prints the measured
 /// values next to the paper's published numbers; EXPERIMENTS.md records
 /// both.
@@ -35,7 +36,7 @@ inline std::string& SnapshotPathRef() {
 
 /// \brief Consumes `--snapshot=<path>` from argv (compacting the array and
 /// decrementing argc) so each bench's own flag loop never sees it. Call
-/// first in main, before anything touches GetWorld().
+/// first in main, before anything touches GetKb().
 inline void InitFromArgs(int& argc, char** argv) {
   int out = 1;
   for (int i = 1; i < argc; ++i) {
@@ -69,28 +70,30 @@ inline std::shared_ptr<const snapshot::Snapshot> GetSnapshot() {
   return *kSnap;
 }
 
-/// \brief The shared knowledge system.
-struct World {
-  std::shared_ptr<const kb::DimUnitKB> kb;
-  std::shared_ptr<const linking::UnitLinker> linker;
-  std::unique_ptr<linking::DimKsAnnotator> annotator;
-};
-
-inline const World& GetWorld() {
-  static const World* const kWorld = [] {
-    auto* world = new World();
+/// \brief The knowledge base: mapped from the snapshot when one is
+/// configured, built in-process otherwise.
+inline const std::shared_ptr<const kb::DimUnitKB>& GetKb() {
+  static const std::shared_ptr<const kb::DimUnitKB>* const kKb = [] {
     std::shared_ptr<const snapshot::Snapshot> snap = GetSnapshot();
     if (snap != nullptr && snap->Has("kb")) {
-      world->kb = kb::DimUnitKB::FromSnapshot(snap).ValueOrDie();
-    } else {
-      world->kb = kb::DimUnitKB::Build().ValueOrDie();
+      return new std::shared_ptr<const kb::DimUnitKB>(
+          kb::DimUnitKB::FromSnapshot(snap).ValueOrDie());
     }
-    world->linker = linking::UnitLinker::Build(world->kb).ValueOrDie();
-    world->annotator =
-        std::make_unique<linking::DimKsAnnotator>(world->linker);
-    return world;
+    return new std::shared_ptr<const kb::DimUnitKB>(
+        kb::DimUnitKB::Build().ValueOrDie());
   }();
-  return *kWorld;
+  return *kKb;
+}
+
+/// \brief The DimKS annotator over GetKb(), built on first use: building
+/// its unit linker trains the SGNS context embedding, which binaries that
+/// read only the KB never pay for.
+inline const linking::DimKsAnnotator& GetAnnotator() {
+  static const linking::DimKsAnnotator* const kAnnotator = [] {
+    return new linking::DimKsAnnotator(
+        linking::UnitLinker::Build(GetKb()).ValueOrDie());
+  }();
+  return *kAnnotator;
 }
 
 /// True when DIMQR_BENCH_FAST=1 (smaller datasets and training budgets for
@@ -113,7 +116,7 @@ inline dimeval::BenchmarkOptions DimEvalOptions(bool fast) {
 inline const dimeval::DimEvalBenchmark& GetDimEval() {
   static const dimeval::DimEvalBenchmark* const kBench = [] {
     return new dimeval::DimEvalBenchmark(
-        dimeval::BuildDimEval(GetWorld().kb, *GetWorld().annotator,
+        dimeval::BuildDimEval(GetKb(), GetAnnotator(),
                               DimEvalOptions(FastMode()))
             .ValueOrDie());
   }();
@@ -163,9 +166,9 @@ struct MwpDatasets {
 inline const MwpDatasets& GetMwpDatasets() {
   static const MwpDatasets* const kDatasets = [] {
     auto* d = new MwpDatasets();
-    const World& world = GetWorld();
-    mwp::MwpGenerator test_gen(world.kb, /*seed=*/20240131);
-    mwp::MwpGenerator train_gen(world.kb, /*seed=*/777);
+    const kb::DimUnitKB& kb = *GetKb();
+    mwp::MwpGenerator test_gen(GetKb(), /*seed=*/20240131);
+    mwp::MwpGenerator train_gen(GetKb(), /*seed=*/777);
     int n_test = MwpTestCount();
     int n_train = MwpTrainCount();
     // Math23k style: mostly few-step; Ape210k style: multi-step heavy.
@@ -179,18 +182,18 @@ inline const MwpDatasets& GetMwpDatasets() {
         train_gen.Generate("n_ape210k", n_train, 0.60).ValueOrDie();
     mwp::QMwpOptions q_options;
     q_options.augmentation_rate = 1.0;
-    d->q_math23k = mwp::BuildQMwp(d->n_math23k, "q_math23k", *world.kb,
+    d->q_math23k = mwp::BuildQMwp(d->n_math23k, "q_math23k", kb,
                                   q_options)
                        .ValueOrDie();
-    d->q_ape210k = mwp::BuildQMwp(d->n_ape210k, "q_ape210k", *world.kb,
+    d->q_ape210k = mwp::BuildQMwp(d->n_ape210k, "q_ape210k", kb,
                                   q_options)
                        .ValueOrDie();
     q_options.seed = 778;
     d->train_q_math23k =
-        mwp::BuildQMwp(d->train_n_math23k, "q_math23k", *world.kb, q_options)
+        mwp::BuildQMwp(d->train_n_math23k, "q_math23k", kb, q_options)
             .ValueOrDie();
     d->train_q_ape210k =
-        mwp::BuildQMwp(d->train_n_ape210k, "q_ape210k", *world.kb, q_options)
+        mwp::BuildQMwp(d->train_n_ape210k, "q_ape210k", kb, q_options)
             .ValueOrDie();
     return d;
   }();

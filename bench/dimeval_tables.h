@@ -48,12 +48,12 @@ inline DimEvalTableModels BuildTable07Models(
   }
   std::fprintf(stderr, "[%s] training DimPerc...\n", tag);
   auto dimperc_seq = std::shared_ptr<solver::Seq2SeqModel>(
-      solver::TrainDimPerc(bench, *benchutil::GetWorld().kb,
+      solver::TrainDimPerc(bench, *benchutil::GetKb(),
                            benchutil::BenchModelConfig(),
                            benchutil::DimEvalEpochs())
           .ValueOrDie());
   out.annotator_extractor = std::make_shared<eval::Extractor>(
-      eval::AnnotatorExtractor(*benchutil::GetWorld().annotator));
+      eval::AnnotatorExtractor(benchutil::GetAnnotator()));
   out.specs.push_back({std::make_shared<solver::DimPercPipeline>(
                            "DimPerc (ours)", dimperc_seq),
                        out.annotator_extractor.get()});
@@ -87,12 +87,12 @@ inline DimEvalTableModels BuildTable08Models(
 
   std::fprintf(stderr, "[%s] fine-tuning DimPerc on DimEval...\n", tag);
   auto dimperc_seq = std::shared_ptr<solver::Seq2SeqModel>(
-      solver::TrainDimPerc(bench, *benchutil::GetWorld().kb, config,
+      solver::TrainDimPerc(bench, *benchutil::GetKb(), config,
                            benchutil::DimEvalEpochs())
           .ValueOrDie());
 
   out.annotator_extractor = std::make_shared<eval::Extractor>(
-      eval::AnnotatorExtractor(*benchutil::GetWorld().annotator));
+      eval::AnnotatorExtractor(benchutil::GetAnnotator()));
   out.specs.push_back(
       {std::make_shared<solver::DimPercPipeline>("LLaMA_IFT", base_seq),
        nullptr});

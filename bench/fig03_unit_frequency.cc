@@ -10,14 +10,14 @@
 
 int main(int argc, char** argv) {
   dimqr::benchutil::InitFromArgs(argc, argv);
-  const dimqr::benchutil::World& world = dimqr::benchutil::GetWorld();
-  std::vector<dimqr::UnitId> ranked = world.kb->UnitsByFrequency();
+  const dimqr::kb::DimUnitKB& kb = *dimqr::benchutil::GetKb();
+  std::vector<dimqr::UnitId> ranked = kb.UnitsByFrequency();
 
   std::cout << "=== Figure 3: units ranked by Freq(u) (Eq. 1-2; "
                "alpha=(0.3,0.3,0.4), delta=0.1) ===\n\n";
   constexpr int kTop = 24;
   for (int i = 0; i < kTop && i < static_cast<int>(ranked.size()); ++i) {
-    const dimqr::kb::UnitRecord& u = world.kb->Get(ranked[i]);
+    const dimqr::kb::UnitRecord& u = kb.Get(ranked[i]);
     int bar = static_cast<int>(u.frequency * 48.0);
     std::printf("%2d. %-22s %5.3f |%s\n", i + 1,
                 std::string(u.label_en).c_str(), u.frequency,
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n... tail of the ranking ...\n";
   for (std::size_t i = ranked.size() - 3; i < ranked.size(); ++i) {
-    const dimqr::kb::UnitRecord& u = world.kb->Get(ranked[i]);
+    const dimqr::kb::UnitRecord& u = kb.Get(ranked[i]);
     std::printf("%4zu. %-40s %5.3f\n", i + 1,
                 std::string(u.label_en).c_str(), u.frequency);
   }
@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
   // The paper's motivating contrast (Section III-A4): metre common,
   // decimetre rare.
   const dimqr::kb::UnitRecord* metre =
-      &world.kb->Get(world.kb->IdOf("M"));
+      &kb.Get(kb.IdOf("M"));
   const dimqr::kb::UnitRecord* decimetre =
-      &world.kb->Get(world.kb->IdOf("DeciM"));
+      &kb.Get(kb.IdOf("DeciM"));
   std::printf("\nShape check: Freq(metre)=%.3f > Freq(decimetre)=%.3f : %s\n",
               metre->frequency, decimetre->frequency,
               metre->frequency > decimetre->frequency ? "PRESERVED"

@@ -9,8 +9,8 @@
 
 int main(int argc, char** argv) {
   dimqr::benchutil::InitFromArgs(argc, argv);
-  const dimqr::benchutil::World& world = dimqr::benchutil::GetWorld();
-  auto kinds = world.kb->KindsByFrequency(/*top_k=*/5);
+  const dimqr::kb::DimUnitKB& kb = *dimqr::benchutil::GetKb();
+  auto kinds = kb.KindsByFrequency(/*top_k=*/5);
 
   std::cout << "=== Figure 4: top quantity kinds and their top-5 units ===\n"
             << "(kind frequency = mean Freq of its top five units)\n\n";
@@ -18,12 +18,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < kTop && i < kinds.size(); ++i) {
     const auto& [kind, freq] = kinds[i];
     std::printf("%2zu. %-28s %5.3f\n", i + 1,
-                std::string(world.kb->GetKind(kind).name).c_str(), freq);
-    std::span<const dimqr::UnitId> member_ids = world.kb->UnitsOfKind(kind);
+                std::string(kb.GetKind(kind).name).c_str(), freq);
+    std::span<const dimqr::UnitId> member_ids = kb.UnitsOfKind(kind);
     std::vector<const dimqr::kb::UnitRecord*> members;
     members.reserve(member_ids.size());
     for (dimqr::UnitId uid : member_ids) {
-      members.push_back(&world.kb->Get(uid));
+      members.push_back(&kb.Get(uid));
     }
     std::sort(members.begin(), members.end(),
               [](const dimqr::kb::UnitRecord* a,
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   // Shape check: everyday kinds (Length, Time, Mass) rank in the top 14.
   bool length = false, time = false, mass = false;
   for (std::size_t i = 0; i < kTop && i < kinds.size(); ++i) {
-    std::string_view name = world.kb->GetKind(kinds[i].first).name;
+    std::string_view name = kb.GetKind(kinds[i].first).name;
     if (name == "Length") length = true;
     if (name == "Time") time = true;
     if (name == "Mass") mass = true;

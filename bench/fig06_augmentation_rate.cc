@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     q_options.seed = 778;  // same stream as the full training split
     std::vector<mwp::TemplatedProblem> train_problems =
         mwp::BuildQMwp(d.train_n_ape210k, "q_ape210k",
-                       *benchutil::GetWorld().kb, q_options)
+                       *benchutil::GetKb(), q_options)
             .ValueOrDie();
     auto model = solver::Seq2SeqModel::Create(
                      "DimPerc", solver::MakeMwpExamples(train_problems),

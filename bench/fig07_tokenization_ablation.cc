@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   std::vector<solver::SeqExample> q_train =
       solver::MakeMwpExamples(d.train_q_ape210k);
   std::vector<solver::SeqExample> dimeval_knowledge =
-      solver::MakeUnitKnowledgeExamples(*benchutil::GetWorld().kb,
+      solver::MakeUnitKnowledgeExamples(*benchutil::GetKb(),
                                         /*pool_size=*/240, /*repeats=*/2);
 
   std::vector<Curve> curves;

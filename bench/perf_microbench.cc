@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/common.h"
@@ -29,63 +28,10 @@
 #include "solver/pipelines.h"
 #include "solver/seq2seq.h"
 #include "text/levenshtein.h"
-#include "text/string_util.h"
 
 namespace {
 
 using namespace dimqr;
-
-// ---------------------------------------------------------------------
-// Legacy string-keyed replicas. These reconstruct the unordered_map
-// indexes and the flattened linker naming dictionary that the interned
-// identity layer (core/interner.h) retired, so the speedup of the handle
-// paths stays measurable against the real old implementation.
-
-struct LegacyKbIndex {
-  std::unordered_map<std::string, std::size_t> by_id;
-  std::unordered_map<std::string, std::vector<std::size_t>> by_surface;
-  std::unordered_map<std::string, std::vector<std::size_t>> by_surface_lower;
-  /// (surface form, unit index) pairs, the old linker candidate source.
-  std::vector<std::pair<std::string, std::size_t>> naming_dictionary;
-};
-
-const LegacyKbIndex& GetLegacyIndex() {
-  static const LegacyKbIndex* const kIndex = [] {
-    auto* idx = new LegacyKbIndex();
-    const std::vector<kb::UnitRecord>& units = benchutil::GetWorld().kb->units();
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      idx->by_id[std::string(units[i].id)] = i;
-      for (std::string_view surface : units[i].SurfaceForms()) {
-        if (surface.empty()) continue;
-        idx->by_surface[std::string(surface)].push_back(i);
-        idx->by_surface_lower[text::ToLowerAscii(surface)].push_back(i);
-        idx->naming_dictionary.emplace_back(std::string(surface), i);
-      }
-    }
-    return idx;
-  }();
-  return *kIndex;
-}
-
-/// Replica of the retired string-keyed DimUnitKB::FindBySurface: per-call
-/// std::string key materialization, hash probes and a freshly allocated
-/// result vector.
-std::vector<const kb::UnitRecord*> LegacyFindBySurface(
-    std::string_view surface) {
-  const LegacyKbIndex& idx = GetLegacyIndex();
-  const std::vector<kb::UnitRecord>& units = benchutil::GetWorld().kb->units();
-  std::vector<const kb::UnitRecord*> out;
-  auto exact = idx.by_surface.find(std::string(surface));
-  if (exact != idx.by_surface.end()) {
-    for (std::size_t i : exact->second) out.push_back(&units[i]);
-    return out;
-  }
-  auto lower = idx.by_surface_lower.find(text::ToLowerAscii(surface));
-  if (lower != idx.by_surface_lower.end()) {
-    for (std::size_t i : lower->second) out.push_back(&units[i]);
-  }
-  return out;
-}
 
 void BM_DimensionTimes(benchmark::State& state) {
   Dimension force = dims::Force();
@@ -127,44 +73,33 @@ void BM_DoubleConversionChain(benchmark::State& state) {
 BENCHMARK(BM_DoubleConversionChain);
 
 void BM_KbFindBySurface(benchmark::State& state) {
-  const auto& world = benchutil::GetWorld();
+  const kb::DimUnitKB& kb = *benchutil::GetKb();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(world.kb->FindBySurface("km"));
-    benchmark::DoNotOptimize(world.kb->FindBySurface("kilograms"));
-    benchmark::DoNotOptimize(world.kb->FindBySurface("千克"));
+    benchmark::DoNotOptimize(kb.FindBySurface("km"));
+    benchmark::DoNotOptimize(kb.FindBySurface("kilograms"));
+    benchmark::DoNotOptimize(kb.FindBySurface("千克"));
   }
 }
 BENCHMARK(BM_KbFindBySurface);
 
 void BM_KbFindBySurfaceSpan(benchmark::State& state) {
   // The interned path: SymbolTable lookup + CSR span, zero allocation.
-  const auto& world = benchutil::GetWorld();
+  const kb::DimUnitKB& kb = *benchutil::GetKb();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(world.kb->FindBySurface("km"));
-    benchmark::DoNotOptimize(world.kb->FindBySurface("kilograms"));
-    benchmark::DoNotOptimize(world.kb->FindBySurface("千克"));
+    benchmark::DoNotOptimize(kb.FindBySurface("km"));
+    benchmark::DoNotOptimize(kb.FindBySurface("kilograms"));
+    benchmark::DoNotOptimize(kb.FindBySurface("千克"));
   }
 }
 BENCHMARK(BM_KbFindBySurfaceSpan);
 
-void BM_KbFindBySurfaceLegacyMap(benchmark::State& state) {
-  // The retired path, same three queries.
-  GetLegacyIndex();  // build outside the timed region
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(LegacyFindBySurface("km"));
-    benchmark::DoNotOptimize(LegacyFindBySurface("kilograms"));
-    benchmark::DoNotOptimize(LegacyFindBySurface("千克"));
-  }
-}
-BENCHMARK(BM_KbFindBySurfaceLegacyMap);
-
 void BM_KbConversionFactor(benchmark::State& state) {
   // Resolve-by-string then convert: what a caller starting from UnitID
   // strings pays per call (compare against BM_ConversionFactorCached).
-  const auto& world = benchutil::GetWorld();
+  const kb::DimUnitKB& kb = *benchutil::GetKb();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(world.kb->ConversionFactor(
-        world.kb->IdOf("MI"), world.kb->IdOf("KiloM")));
+    benchmark::DoNotOptimize(
+        kb.ConversionFactor(kb.IdOf("MI"), kb.IdOf("KiloM")));
   }
 }
 BENCHMARK(BM_KbConversionFactor);
@@ -172,30 +107,14 @@ BENCHMARK(BM_KbConversionFactor);
 void BM_ConversionFactorCached(benchmark::State& state) {
   // Handles resolved once, then every call is two array reads into the
   // per-dimension-class memo table.
-  const auto& world = benchutil::GetWorld();
-  const UnitId mi = world.kb->IdOf("MI");
-  const UnitId km = world.kb->IdOf("KiloM");
+  const kb::DimUnitKB& kb = *benchutil::GetKb();
+  const UnitId mi = kb.IdOf("MI");
+  const UnitId km = kb.IdOf("KiloM");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(world.kb->ConversionFactor(mi, km));
+    benchmark::DoNotOptimize(kb.ConversionFactor(mi, km));
   }
 }
 BENCHMARK(BM_ConversionFactorCached);
-
-void BM_ConversionFactorLegacyString(benchmark::State& state) {
-  // Replica of the retired path: two string-keyed id lookups plus a full
-  // exact-rational factor computation on every call.
-  const auto& world = benchutil::GetWorld();
-  const LegacyKbIndex& idx = GetLegacyIndex();
-  const std::vector<kb::UnitRecord>& units = world.kb->units();
-  for (auto _ : state) {
-    const kb::UnitRecord& from = units[idx.by_id.find(std::string("MI"))->second];
-    const kb::UnitRecord& to =
-        units[idx.by_id.find(std::string("KiloM"))->second];
-    benchmark::DoNotOptimize(
-        from.Semantics().ConversionFactorTo(to.Semantics()));
-  }
-}
-BENCHMARK(BM_ConversionFactorLegacyString);
 
 void BM_Levenshtein(benchmark::State& state) {
   for (auto _ : state) {
@@ -206,10 +125,10 @@ void BM_Levenshtein(benchmark::State& state) {
 BENCHMARK(BM_Levenshtein);
 
 void BM_UnitLinking(benchmark::State& state) {
-  const auto& world = benchutil::GetWorld();
+  const linking::UnitLinker& linker = benchutil::GetAnnotator().linker();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        world.linker->Link("km/h", "the train travelled fast"));
+        linker.Link("km/h", "the train travelled fast"));
   }
 }
 BENCHMARK(BM_UnitLinking);
@@ -217,40 +136,18 @@ BENCHMARK(BM_UnitLinking);
 void BM_LinkerLinkHotPath(benchmark::State& state) {
   // Full interned hot path: one edit-distance call per distinct lowercased
   // surface, postings fan-out into flat arrays, then context scoring.
-  const auto& world = benchutil::GetWorld();
+  const linking::UnitLinker& linker = benchutil::GetAnnotator().linker();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        world.linker->Link("km", "the distance of the trip"));
+        linker.Link("km", "the distance of the trip"));
   }
 }
 BENCHMARK(BM_LinkerLinkHotPath);
 
-void BM_LinkerCandidateGenLegacyDict(benchmark::State& state) {
-  // Replica of the retired candidate-generation step alone (no context
-  // scoring): scan the flattened (surface, unit) dictionary with one
-  // edit-distance call per pair, collecting best scores in a hash map.
-  const auto& world = benchutil::GetWorld();
-  const LegacyKbIndex& idx = GetLegacyIndex();
-  const double threshold = world.linker->config().mention_threshold;
-  for (auto _ : state) {
-    std::unordered_map<std::size_t, double> best_similarity;
-    for (const auto& [surface, index] : idx.naming_dictionary) {
-      double sim = text::LevenshteinSimilarityIgnoreCase(surface, "km");
-      if (sim < threshold) continue;
-      auto it = best_similarity.find(index);
-      if (it == best_similarity.end() || sim > it->second) {
-        best_similarity[index] = sim;
-      }
-    }
-    benchmark::DoNotOptimize(best_similarity);
-  }
-}
-BENCHMARK(BM_LinkerCandidateGenLegacyDict);
-
 void BM_AnnotateSentence(benchmark::State& state) {
-  const auto& world = benchutil::GetWorld();
+  const linking::DimKsAnnotator& annotator = benchutil::GetAnnotator();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(world.annotator->Annotate(
+    benchmark::DoNotOptimize(annotator.Annotate(
         "LeBron James's height is 2.06 meters and Stephen Curry's height "
         "is 188 cm"));
   }
@@ -362,12 +259,11 @@ void BM_TrainBatch(benchmark::State& state) {
     std::vector<std::vector<lm::LmExample>> batches;
   };
   static const Fixture* const kFixture = [] {
-    const benchutil::World& world = benchutil::GetWorld();
     std::vector<solver::SeqExample> mix = solver::MakeDimPercExamples(
-        dimeval::BuildDimEval(world.kb, *world.annotator,
+        dimeval::BuildDimEval(benchutil::GetKb(), benchutil::GetAnnotator(),
                               benchutil::DimEvalOptions(/*fast=*/true))
             .ValueOrDie(),
-        *world.kb);
+        *benchutil::GetKb());
     const solver::Seq2SeqConfig dimperc = benchutil::BenchModelConfig();
     auto encoder =
         solver::Seq2SeqModel::Create("DimPerc", mix, dimperc).ValueOrDie();
@@ -403,7 +299,7 @@ void BM_EvalDimEval(benchmark::State& state) {
   // Self-contained choice-task set: generator instances + calibrated mock,
   // small enough to re-run per iteration without the full DimEval fixture.
   static const std::vector<dimeval::TaskInstance>* const kInstances = [] {
-    dimeval::TaskGenerator gen(benchutil::GetWorld().kb);
+    dimeval::TaskGenerator gen(benchutil::GetKb());
     return new std::vector<dimeval::TaskInstance>(
         gen.UnitConversion(96).ValueOrDie());
   }();
@@ -437,7 +333,7 @@ void BM_EvalDimEvalFaulty(benchmark::State& state) {
     FaultRegistry::Global().Clear();
   }
   static const std::vector<dimeval::TaskInstance>* const kInstances = [] {
-    dimeval::TaskGenerator gen(benchutil::GetWorld().kb);
+    dimeval::TaskGenerator gen(benchutil::GetKb());
     return new std::vector<dimeval::TaskInstance>(
         gen.UnitConversion(96).ValueOrDie());
   }();
@@ -469,8 +365,8 @@ void BM_FleetEval(benchmark::State& state) {
     options.test_per_task = 24;
     options.extraction_corpus_sentences = 120;
     return new dimeval::DimEvalBenchmark(
-        dimeval::BuildDimEval(benchutil::GetWorld().kb,
-                              *benchutil::GetWorld().annotator, options)
+        dimeval::BuildDimEval(benchutil::GetKb(), benchutil::GetAnnotator(),
+                              options)
             .ValueOrDie());
   }();
   std::vector<eval::FleetModelSpec> specs;
@@ -576,7 +472,7 @@ void BM_EvalDimEvalPrefixCache(benchmark::State& state) {
   // with the cache on only each prompt's unshared tail is prefilled.
   ScopedParallelism scope(4);
   static const std::vector<dimeval::TaskInstance>* const kInstances = [] {
-    dimeval::TaskGenerator gen(benchutil::GetWorld().kb);
+    dimeval::TaskGenerator gen(benchutil::GetKb());
     return new std::vector<dimeval::TaskInstance>(
         gen.UnitConversion(64).ValueOrDie());
   }();

@@ -12,8 +12,8 @@
 int main(int argc, char** argv) {
   dimqr::benchutil::InitFromArgs(argc, argv);
   using dimqr::eval::TablePrinter;
-  const dimqr::benchutil::World& world = dimqr::benchutil::GetWorld();
-  dimqr::kb::KbStats stats = world.kb->Stats();
+  const dimqr::kb::DimUnitKB& kb = *dimqr::benchutil::GetKb();
+  dimqr::kb::KbStats stats = kb.Stats();
 
   std::cout << "=== Table IV: unit-resource statistics ===\n"
             << "(UoM / WolframAlpha rows: published values; DimUnitKB row: "

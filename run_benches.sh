@@ -2,8 +2,8 @@
 # Runs every table/figure reproduction binary plus the micro-benchmarks,
 # in experiment order, writing the combined log to bench_output.txt. The
 # micro-benchmarks additionally dump machine-readable Google-benchmark
-# JSON to BENCH_perf.json (interned vs legacy string-keyed comparisons,
-# blocked vs naive kernels, the DIMQR_THREADS sweeps, the inference
+# JSON to BENCH_perf.json (interned KB lookups and the unit linker's hot
+# path, blocked vs naive kernels, the DIMQR_THREADS sweeps, the inference
 # fast path: batched prefill and greedy decode plus the prompt-prefix
 # KV cache on/off under the eval harness, and the serving layer:
 # BM_ServeThroughput's batch-width sweep and BM_ServeP99UnderBurst's

@@ -48,16 +48,13 @@ double Rng::Normal(double mean, double stddev) {
   return dist(engine_);
 }
 
-std::size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  if (total <= 0.0) return 0;
-  double draw = UniformReal(0.0, total);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (draw < acc) return i;
-  }
-  return weights.size() - 1;
+std::size_t Rng::WeightedIndex(std::span<const double> running_sums) {
+  if (running_sums.empty() || running_sums.back() <= 0.0) return 0;
+  const double draw = UniformReal(0.0, running_sums.back());
+  const auto it =
+      std::upper_bound(running_sums.begin(), running_sums.end(), draw);
+  if (it == running_sums.end()) return running_sums.size() - 1;
+  return static_cast<std::size_t>(it - running_sums.begin());
 }
 
 std::vector<std::size_t> Rng::SampleIndices(std::size_t n, std::size_t k) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -51,9 +52,13 @@ class Rng {
   /// Standard normal draw.
   double Normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Index in [0, weights.size()) drawn proportionally to weights.
-  /// Returns 0 when all weights are zero. Requires non-empty weights.
-  std::size_t WeightedIndex(const std::vector<double>& weights);
+  /// \brief Index drawn proportionally to non-negative weights, given as
+  /// their running sums: `running_sums[i]` is `w[0] + ... + w[i]`, added
+  /// left to right (std::partial_sum), so a caller drawing many times from
+  /// one table builds it once. Returns the first index whose sum
+  /// exceeds `UniformReal(0, total)`, the last index if none does, and 0
+  /// without drawing when there are no sums or the total is not positive.
+  std::size_t WeightedIndex(std::span<const double> running_sums);
 
   /// A uniformly random element index for a container of size n. Requires n>0.
   std::size_t Index(std::size_t n) {

@@ -1,5 +1,6 @@
 #include "core/unit_expr.h"
 
+#include <algorithm>
 #include <cctype>
 
 namespace dimqr {
@@ -128,7 +129,8 @@ class UnitExprParser {
       : tokens_(std::move(tokens)) {}
 
   Result<UnitExpr> Parse() {
-    DIMQR_ASSIGN_OR_RETURN(UnitExpr e, ParseExpr());
+    int height = 0;
+    DIMQR_ASSIGN_OR_RETURN(UnitExpr e, ParseExpr(height));
     if (Peek().kind != TokKind::kEnd) {
       return Status::ParseError("trailing tokens in unit expression");
     }
@@ -139,11 +141,15 @@ class UnitExprParser {
   const Token& Peek() const { return tokens_[pos_]; }
   Token Take() { return tokens_[pos_++]; }
 
-  Result<UnitExpr> ParseExpr() {
-    DIMQR_ASSIGN_OR_RETURN(UnitExpr lhs, ParseTerm());
+  // Each Parse* sets `height` to the height of the tree it returns: 0 for
+  // a unit name, one more than the tallest child for an operator node.
+  Result<UnitExpr> ParseExpr(int& height) {
+    DIMQR_ASSIGN_OR_RETURN(UnitExpr lhs, ParseTerm(height));
     while (Peek().kind == TokKind::kTimes || Peek().kind == TokKind::kOver) {
       TokKind op = Take().kind;
-      DIMQR_ASSIGN_OR_RETURN(UnitExpr rhs, ParseTerm());
+      int rhs_height = 0;
+      DIMQR_ASSIGN_OR_RETURN(UnitExpr rhs, ParseTerm(rhs_height));
+      DIMQR_RETURN_NOT_OK(Join(height, rhs_height));
       UnitExpr node;
       node.kind_ =
           op == TokKind::kTimes ? UnitExpr::Kind::kTimes : UnitExpr::Kind::kOver;
@@ -154,14 +160,15 @@ class UnitExprParser {
     return lhs;
   }
 
-  Result<UnitExpr> ParseTerm() {
-    DIMQR_ASSIGN_OR_RETURN(UnitExpr base, ParseFactor());
+  Result<UnitExpr> ParseTerm(int& height) {
+    DIMQR_ASSIGN_OR_RETURN(UnitExpr base, ParseFactor(height));
     if (Peek().kind == TokKind::kPower) {
       Take();
       if (Peek().kind != TokKind::kInt) {
         return Status::ParseError("expected integer exponent after '^'");
       }
       int e = Take().value;
+      DIMQR_RETURN_NOT_OK(Join(height, 0));
       UnitExpr node;
       node.kind_ = UnitExpr::Kind::kPower;
       node.exponent_ = e;
@@ -171,7 +178,7 @@ class UnitExprParser {
     return base;
   }
 
-  Result<UnitExpr> ParseFactor() {
+  Result<UnitExpr> ParseFactor(int& height) {
     if (Peek().kind == TokKind::kLParen) {
       Take();
       // One recursion per level: bound it before the stack runs out. An
@@ -179,7 +186,7 @@ class UnitExprParser {
       if (++depth_ > UnitExpr::kMaxNesting) {
         return Status::ParseError("unit expression nested too deeply");
       }
-      DIMQR_ASSIGN_OR_RETURN(UnitExpr e, ParseExpr());
+      DIMQR_ASSIGN_OR_RETURN(UnitExpr e, ParseExpr(height));
       --depth_;
       if (Peek().kind != TokKind::kRParen) {
         return Status::ParseError("missing ')' in unit expression");
@@ -188,12 +195,25 @@ class UnitExprParser {
       return e;
     }
     if (Peek().kind == TokKind::kName) {
+      height = 0;
       UnitExpr node;
       node.kind_ = UnitExpr::Kind::kUnit;
       node.name_ = Take().text;
       return node;
     }
     return Status::ParseError("expected unit name or '(' in unit expression");
+  }
+
+  /// Sets `height` to that of a node over children of heights `height` and
+  /// `other`. Evaluate, ToString and the destructor recurse once per level,
+  /// so a flat chain ("m*m*...*m") is bounded here, where the parser's own
+  /// descent is not.
+  static Status Join(int& height, int other) {
+    height = std::max(height, other) + 1;
+    if (height > UnitExpr::kMaxNesting) {
+      return Status::ParseError("unit expression nested too deeply");
+    }
+    return Status::OK();
   }
 
   std::vector<Token> tokens_;

@@ -36,11 +36,12 @@ class UnitExpr {
   ///
   /// Multiplication may be written '*', 'x' (letter), or U+00D7; division
   /// '/', the word "per", or U+00F7. Returns ParseError on malformed input,
-  /// including parentheses nested deeper than kMaxNesting.
+  /// including nesting deeper than kMaxNesting.
   static Result<UnitExpr> Parse(std::string_view text);
 
-  /// Deepest parenthesis nesting Parse accepts; generated expressions nest
-  /// a few levels.
+  /// Deepest nesting Parse accepts, both of parentheses and of operators on
+  /// the tree's longest root-to-leaf path (a flat "m*m*...*m" chain counts
+  /// each operator); generated expressions nest a few levels.
   static constexpr int kMaxNesting = 256;
 
   Kind kind() const { return kind_; }

@@ -149,27 +149,30 @@ TaskGenerator::TaskGenerator(std::shared_ptr<const kb::DimUnitKB> kb,
       continue;
     }
     pool_.push_back(&unit);
-    pool_weights_.push_back(unit.frequency);
+    pool_sums_.push_back(
+        (pool_sums_.empty() ? 0.0 : pool_sums_.back()) + unit.frequency);
   }
 }
 
 const kb::UnitRecord* TaskGenerator::SampleUnit(Rng& rng) const {
-  return pool_[rng.WeightedIndex(pool_weights_)];
+  return pool_[rng.WeightedIndex(pool_sums_)];
 }
 
 const kb::UnitRecord* TaskGenerator::SampleUnitOfDimension(
     const dimqr::Dimension& dim, Rng& rng,
     const kb::UnitRecord* exclude) const {
   std::vector<const kb::UnitRecord*> candidates;
-  std::vector<double> weights;
-  for (std::size_t i = 0; i < pool_.size(); ++i) {
-    if (pool_[i]->dimension == dim && pool_[i] != exclude) {
-      candidates.push_back(pool_[i]);
-      weights.push_back(pool_weights_[i]);
+  std::vector<double> sums;
+  double total = 0.0;
+  for (const kb::UnitRecord* unit : pool_) {
+    if (unit->dimension == dim && unit != exclude) {
+      candidates.push_back(unit);
+      total += unit->frequency;
+      sums.push_back(total);
     }
   }
   if (candidates.empty()) return nullptr;
-  return candidates[rng.WeightedIndex(weights)];
+  return candidates[rng.WeightedIndex(sums)];
 }
 
 const kb::UnitRecord* TaskGenerator::SampleUnitNotOfDimension(

@@ -87,7 +87,8 @@ class TaskGenerator {
   std::shared_ptr<const kb::DimUnitKB> kb_;
   GeneratorOptions options_;
   std::vector<const kb::UnitRecord*> pool_;      ///< Units above the floor.
-  std::vector<double> pool_weights_;             ///< Their frequencies.
+  /// Running sums of the pool's frequencies (Rng::WeightedIndex's table).
+  std::vector<double> pool_sums_;
 };
 
 }  // namespace dimqr::dimeval

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "text/corpus.h"
 #include "text/levenshtein.h"
@@ -77,9 +78,14 @@ UnitLinker::UnitLinker(std::shared_ptr<const kb::DimUnitKB> kb,
     : kb_(std::move(kb)), embedding_(std::move(emb)), config_(config) {
   const dimqr::SymbolTable& surfaces = kb_->lower_surfaces();
   surface_cp_len_.resize(surfaces.size());
+  surface_unit_begin_.reserve(surfaces.size() + 1);
+  surface_unit_begin_.push_back(0);
   for (std::uint32_t s = 1; s <= surfaces.size(); ++s) {
     surface_cp_len_[s - 1] =
         static_cast<std::uint32_t>(text::Utf8Length(surfaces.Str(s)));
+    std::vector<std::uint32_t> units = text::PackedCodePoints(surfaces.Str(s));
+    surface_units_.insert(surface_units_.end(), units.begin(), units.end());
+    surface_unit_begin_.push_back(surface_units_.size());
   }
 }
 
@@ -94,22 +100,33 @@ Result<std::shared_ptr<const UnitLinker>> UnitLinker::Build(
       new UnitLinker(std::move(kb), std::move(emb), config));
 }
 
-double UnitLinker::ContextScore(
-    const kb::UnitRecord& unit,
-    const std::vector<std::string>& context_tokens) const {
+double UnitLinker::ContextScore(const kb::UnitRecord& unit,
+                                const std::vector<ContextToken>& context) const {
   // Pr(u|c) = (1/n) sum_i max_j cos(c_i, k_j).
-  if (context_tokens.empty() || unit.keywords.empty()) {
+  if (context.empty() || unit.keywords.empty()) {
     return 0.5;  // uninformative context: neutral factor
   }
+  std::vector<std::optional<std::size_t>> keyword_rows;
+  keyword_rows.reserve(unit.keywords.size());
+  for (std::string_view keyword : unit.keywords) {
+    keyword_rows.push_back(embedding_.RowOf(keyword));
+  }
   double sum = 0.0;
-  for (const std::string& token : context_tokens) {
+  for (const ContextToken& token : context) {
     double best = 0.0;
-    for (std::string_view keyword : unit.keywords) {
-      best = std::max(best, embedding_.CosineSimilarity(token, keyword));
+    for (std::size_t k = 0; k < keyword_rows.size(); ++k) {
+      // Out-of-vocabulary pairs score by surface similarity, as
+      // Embedding::CosineSimilarity does.
+      const double sim =
+          token.row && keyword_rows[k]
+              ? embedding_.CosineOfRows(*token.row, *keyword_rows[k])
+              : text::LevenshteinSimilarityIgnoreCase(token.text,
+                                                      unit.keywords[k]);
+      best = std::max(best, sim);
     }
     sum += best;
   }
-  double mean = sum / static_cast<double>(context_tokens.size());
+  double mean = sum / static_cast<double>(context.size());
   // Cosines live in [-1, 1]; clamp into a probability-like range with a
   // small floor so an uninformative context never zeroes the product (which
   // would make the final ranking an arbitrary tie).
@@ -129,11 +146,18 @@ std::vector<LinkCandidate> UnitLinker::Link(std::string_view mention,
   // already misses the threshold skip the DP entirely. ASCII lowercasing
   // preserves code-point counts, so the mention's length is exact.
   const std::size_t mention_len = text::Utf8Length(mention);
+  const std::vector<std::uint32_t> mention_units =
+      text::PackedCodePoints(text::ToLowerAscii(mention));
+  const std::span<const std::uint32_t> all_units(surface_units_);
+  std::vector<std::size_t> dp_row;
   std::vector<double> best_similarity(kb_->num_units(), -1.0);
   std::vector<UnitId> hits;
   for (std::uint32_t s = 1; s <= surfaces.size(); ++s) {
     const std::size_t surface_len = surface_cp_len_[s - 1];
     const std::size_t longest = std::max(surface_len, mention_len);
+    // LevenshteinSimilarity over the lowercased pair: 1 when both are
+    // empty, else 1 - distance / longest.
+    double sim = 1.0;
     if (longest > 0) {
       const std::size_t diff = surface_len > mention_len
                                    ? surface_len - mention_len
@@ -141,9 +165,12 @@ std::vector<LinkCandidate> UnitLinker::Link(std::string_view mention,
       double bound = 1.0 - static_cast<double>(diff) /
                                static_cast<double>(longest);
       if (bound < config_.mention_threshold) continue;
+      const std::size_t begin = surface_unit_begin_[s - 1];
+      const std::size_t distance = text::LevenshteinDistance(
+          all_units.subspan(begin, surface_unit_begin_[s] - begin),
+          mention_units, dp_row);
+      sim = 1.0 - static_cast<double>(distance) / static_cast<double>(longest);
     }
-    double sim =
-        text::LevenshteinSimilarityIgnoreCase(surfaces.Str(s), mention);
     if (sim < config_.mention_threshold) continue;
     for (UnitId uid : kb_->UnitsOfLowerSurface(SurfaceId(s))) {
       if (best_similarity[uid.index()] < 0.0) hits.push_back(uid);
@@ -155,11 +182,13 @@ std::vector<LinkCandidate> UnitLinker::Link(std::string_view mention,
   if (hits.empty()) return {};
 
   // --- Step 2: context-based scoring ---
-  std::vector<std::string> context_tokens;
+  std::vector<ContextToken> context_tokens;
   for (const text::Token& tok : text::Tokenize(context)) {
     if (tok.kind == text::Token::Kind::kWord ||
         tok.kind == text::Token::Kind::kCjk) {
-      context_tokens.push_back(text::ToLowerAscii(tok.text));
+      std::string lower = text::ToLowerAscii(tok.text);
+      std::optional<std::size_t> row = embedding_.RowOf(lower);
+      context_tokens.push_back({std::move(lower), row});
     }
   }
 

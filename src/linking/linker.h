@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,8 +87,15 @@ class UnitLinker {
   UnitLinker(std::shared_ptr<const kb::DimUnitKB> kb, text::Embedding emb,
              LinkerConfig config);
 
+  /// A lowercased context word and its embedding row (none when out of
+  /// vocabulary), looked up once per Link call.
+  struct ContextToken {
+    std::string text;
+    std::optional<std::size_t> row;
+  };
+
   double ContextScore(const kb::UnitRecord& unit,
-                      const std::vector<std::string>& context_tokens) const;
+                      const std::vector<ContextToken>& context) const;
 
   std::shared_ptr<const kb::DimUnitKB> kb_;
   text::Embedding embedding_;
@@ -97,6 +105,10 @@ class UnitLinker {
   /// the length-difference lower bound of the edit distance without
   /// running the DP.
   std::vector<std::uint32_t> surface_cp_len_;
+  /// Every lowercased surface's text::PackedCodePoints, concatenated;
+  /// surface i's run is [surface_unit_begin_[i], surface_unit_begin_[i+1]).
+  std::vector<std::uint32_t> surface_units_;
+  std::vector<std::size_t> surface_unit_begin_;
 };
 
 }  // namespace dimqr::linking

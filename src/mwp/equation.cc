@@ -1,5 +1,6 @@
 #include "mwp/equation.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -28,7 +29,8 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<Equation> Run() {
-    DIMQR_ASSIGN_OR_RETURN(Equation e, ParseExpr());
+    int height = 0;
+    DIMQR_ASSIGN_OR_RETURN(Equation e, ParseExpr(height));
     SkipSpace();
     if (pos_ != text_.size()) {
       return Status::ParseError("trailing characters in equation");
@@ -44,8 +46,10 @@ class Parser {
     }
   }
 
-  Result<Equation> ParseExpr() {
-    DIMQR_ASSIGN_OR_RETURN(Equation lhs, ParseTerm());
+  // Each Parse* sets `height` to the height of the tree it returns: 0 for
+  // a number, one more than the taller child for an operator node.
+  Result<Equation> ParseExpr(int& height) {
+    DIMQR_ASSIGN_OR_RETURN(Equation lhs, ParseTerm(height));
     for (;;) {
       SkipSpace();
       if (pos_ >= text_.size() ||
@@ -53,13 +57,15 @@ class Parser {
         return lhs;
       }
       char op = text_[pos_++];
-      DIMQR_ASSIGN_OR_RETURN(Equation rhs, ParseTerm());
+      int rhs_height = 0;
+      DIMQR_ASSIGN_OR_RETURN(Equation rhs, ParseTerm(rhs_height));
+      DIMQR_RETURN_NOT_OK(Join(height, rhs_height));
       lhs = Equation::Binary(op, std::move(lhs), std::move(rhs));
     }
   }
 
-  Result<Equation> ParseTerm() {
-    DIMQR_ASSIGN_OR_RETURN(Equation lhs, ParseFactor());
+  Result<Equation> ParseTerm(int& height) {
+    DIMQR_ASSIGN_OR_RETURN(Equation lhs, ParseFactor(height));
     for (;;) {
       SkipSpace();
       if (pos_ >= text_.size() ||
@@ -67,12 +73,14 @@ class Parser {
         return lhs;
       }
       char op = text_[pos_++];
-      DIMQR_ASSIGN_OR_RETURN(Equation rhs, ParseFactor());
+      int rhs_height = 0;
+      DIMQR_ASSIGN_OR_RETURN(Equation rhs, ParseFactor(rhs_height));
+      DIMQR_RETURN_NOT_OK(Join(height, rhs_height));
       lhs = Equation::Binary(op, std::move(lhs), std::move(rhs));
     }
   }
 
-  Result<Equation> ParseFactor() {
+  Result<Equation> ParseFactor(int& height) {
     SkipSpace();
     if (pos_ >= text_.size()) {
       return Status::ParseError("unexpected end of equation");
@@ -81,7 +89,7 @@ class Parser {
     if (c == '(') {
       ++pos_;
       DIMQR_RETURN_NOT_OK(Descend());
-      DIMQR_ASSIGN_OR_RETURN(Equation e, ParseExpr());
+      DIMQR_ASSIGN_OR_RETURN(Equation e, ParseExpr(height));
       --depth_;
       SkipSpace();
       if (pos_ >= text_.size() || text_[pos_] != ')') {
@@ -93,8 +101,9 @@ class Parser {
     if (c == '-') {
       ++pos_;
       DIMQR_RETURN_NOT_OK(Descend());
-      DIMQR_ASSIGN_OR_RETURN(Equation inner, ParseFactor());
+      DIMQR_ASSIGN_OR_RETURN(Equation inner, ParseFactor(height));
       --depth_;
+      DIMQR_RETURN_NOT_OK(Join(height, 0));
       return Equation::Binary('-', Equation::Number(0.0), std::move(inner));
     }
     if (std::isdigit(static_cast<unsigned char>(c)) || c == '.') {
@@ -132,6 +141,7 @@ class Parser {
         percent = true;
         ++pos_;
       }
+      height = 0;
       return Equation::Number(value, percent);
     }
     return Status::ParseError(std::string("unexpected character '") + c +
@@ -143,6 +153,18 @@ class Parser {
   /// depth_ raised, but it also ends the parse.
   Status Descend() {
     if (++depth_ > Equation::kMaxNesting) {
+      return Status::ParseError("equation nested too deeply");
+    }
+    return Status::OK();
+  }
+
+  /// Sets `height` to that of a node over children of heights `height` and
+  /// `other`. Evaluate, ToString and the destructor recurse once per level,
+  /// so a flat chain ("1+1+...+1") is bounded here, where the parser's own
+  /// descent is not.
+  static Status Join(int& height, int other) {
+    height = std::max(height, other) + 1;
+    if (height > Equation::kMaxNesting) {
       return Status::ParseError("equation nested too deeply");
     }
     return Status::OK();

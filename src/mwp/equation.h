@@ -30,8 +30,10 @@ class Equation {
   /// A binary node; op in {+, -, *, /}.
   static Equation Binary(char op, Equation lhs, Equation rhs);
 
-  /// Deepest parenthesis / unary-minus nesting Parse accepts; generated
-  /// equations nest a few levels.
+  /// Deepest nesting Parse accepts, both of parentheses / unary minuses
+  /// and of operators on the tree's longest root-to-leaf path (a flat
+  /// "1+1+...+1" chain counts each operator); generated equations nest a
+  /// few levels.
   static constexpr int kMaxNesting = 256;
 
   /// \brief Parses an equation string. Returns ParseError on junk or on

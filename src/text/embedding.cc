@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "core/parallel.h"
 #include "text/levenshtein.h"
@@ -53,11 +54,12 @@ Result<Embedding> Embedding::Train(
   const std::size_t v = emb.words_.size();
   const auto d = static_cast<std::size_t>(config.dimension);
 
-  // Unigram^0.75 table for negative sampling.
-  std::vector<double> neg_weights(v);
+  // Unigram^0.75 table for negative sampling, as running sums.
+  std::vector<double> neg_sums(v);
   for (std::size_t i = 0; i < v; ++i) {
-    neg_weights[i] = std::pow(static_cast<double>(vocab[i].second), 0.75);
+    neg_sums[i] = std::pow(static_cast<double>(vocab[i].second), 0.75);
   }
+  std::partial_sum(neg_sums.begin(), neg_sums.end(), neg_sums.begin());
 
   Rng rng(config.seed);
   emb.vectors_.assign(v * d, 0.0f);
@@ -165,7 +167,7 @@ Result<Embedding> Embedding::Train(
                       target = ctx;
                       label = 1.0f;
                     } else {
-                      target = rng.WeightedIndex(neg_weights);
+                      target = rng.WeightedIndex(neg_sums);
                       if (target == ctx) continue;
                       label = 0.0f;
                     }
@@ -225,7 +227,14 @@ const float* Embedding::VectorOf(std::string_view word) const {
   return &vectors_[it->second * static_cast<std::size_t>(dimension_)];
 }
 
-double Embedding::CosineByIndex(std::size_t i, std::size_t j) const {
+std::optional<std::size_t> Embedding::RowOf(std::string_view word) const {
+  auto it = index_.find(std::string(word));
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
+}
+
+double Embedding::CosineOfRows(std::size_t i, std::size_t j) const {
+  if (i == j) return 1.0;
   const auto d = static_cast<std::size_t>(dimension_);
   const float* a = &vectors_[i * d];
   const float* b = &vectors_[j * d];
@@ -238,14 +247,13 @@ double Embedding::CosineByIndex(std::size_t i, std::size_t j) const {
 
 double Embedding::CosineSimilarity(std::string_view a,
                                    std::string_view b) const {
-  auto ia = index_.find(std::string(a));
-  auto ib = index_.find(std::string(b));
-  if (ia == index_.end() || ib == index_.end()) {
+  std::optional<std::size_t> ia = RowOf(a);
+  std::optional<std::size_t> ib = RowOf(b);
+  if (!ia || !ib) {
     // OOV fallback: graded surface similarity keeps rare unit forms usable.
     return LevenshteinSimilarityIgnoreCase(a, b);
   }
-  if (ia->second == ib->second) return 1.0;
-  return CosineByIndex(ia->second, ib->second);
+  return CosineOfRows(*ia, *ib);
 }
 
 std::vector<std::pair<std::string, double>> Embedding::MostSimilar(
@@ -256,7 +264,7 @@ std::vector<std::pair<std::string, double>> Embedding::MostSimilar(
   scored.reserve(words_.size());
   for (std::size_t j = 0; j < words_.size(); ++j) {
     if (j == it->second) continue;
-    scored.emplace_back(words_[j], CosineByIndex(it->second, j));
+    scored.emplace_back(words_[j], CosineOfRows(it->second, j));
   }
   std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;

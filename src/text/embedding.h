@@ -58,6 +58,12 @@ class Embedding {
   /// The vector for a word, or nullptr when out of vocabulary.
   const float* VectorOf(std::string_view word) const;
 
+  /// The row of a word's vector, or none when out of vocabulary.
+  std::optional<std::size_t> RowOf(std::string_view word) const;
+
+  /// \brief Cosine similarity between two rows' vectors; 1 for one row.
+  double CosineOfRows(std::size_t i, std::size_t j) const;
+
   /// \brief Cosine similarity between two words' vectors.
   /// Out-of-vocabulary words fall back to character-level string similarity
   /// (so rare unit surface forms still get a graded score).
@@ -72,8 +78,6 @@ class Embedding {
   const std::vector<std::string>& words() const { return words_; }
 
  private:
-  double CosineByIndex(std::size_t i, std::size_t j) const;
-
   int dimension_ = 0;
   std::vector<std::string> words_;
   std::unordered_map<std::string, std::size_t> index_;

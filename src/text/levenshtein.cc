@@ -1,29 +1,36 @@
 #include "text/levenshtein.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "text/string_util.h"
 
 namespace dimqr::text {
 
 std::size_t LevenshteinDistance(std::string_view a, std::string_view b) {
-  std::vector<std::string> ca = Utf8CodePoints(a);
-  std::vector<std::string> cb = Utf8CodePoints(b);
-  if (ca.empty()) return cb.size();
-  if (cb.empty()) return ca.size();
-  // Two-row dynamic program.
-  std::vector<std::size_t> prev(cb.size() + 1), cur(cb.size() + 1);
-  for (std::size_t j = 0; j <= cb.size(); ++j) prev[j] = j;
-  for (std::size_t i = 1; i <= ca.size(); ++i) {
-    cur[0] = i;
-    for (std::size_t j = 1; j <= cb.size(); ++j) {
-      std::size_t sub = prev[j - 1] + (ca[i - 1] == cb[j - 1] ? 0 : 1);
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
+  std::vector<std::size_t> row;
+  return LevenshteinDistance(PackedCodePoints(a), PackedCodePoints(b), row);
+}
+
+std::size_t LevenshteinDistance(std::span<const std::uint32_t> a,
+                                std::span<const std::uint32_t> b,
+                                std::vector<std::size_t>& row) {
+  if (a.empty()) return b.size();
+  if (b.empty()) return a.size();
+  // One-row dynamic program: row[j] holds the previous row's value until
+  // column j is overwritten; `diag` carries the previous row's row[j - 1].
+  row.resize(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diag = row[0];
+    row[0] = i;
+    const std::uint32_t ai = a[i - 1];
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t sub = diag + (ai == b[j - 1] ? 0 : 1);
+      diag = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1, sub});
     }
-    std::swap(prev, cur);
   }
-  return prev[cb.size()];
+  return row[b.size()];
 }
 
 double LevenshteinSimilarity(std::string_view a, std::string_view b) {

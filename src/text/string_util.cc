@@ -90,8 +90,9 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
   return out;
 }
 
-std::vector<std::string> Utf8CodePoints(std::string_view s) {
-  std::vector<std::string> out;
+std::vector<std::uint32_t> PackedCodePoints(std::string_view s) {
+  std::vector<std::uint32_t> out;
+  out.reserve(s.size());
   std::size_t i = 0;
   while (i < s.size()) {
     auto lead = static_cast<unsigned char>(s[i]);
@@ -111,7 +112,11 @@ std::vector<std::string> Utf8CodePoints(std::string_view s) {
         break;
       }
     }
-    out.emplace_back(s.substr(i, len));
+    std::uint32_t unit = 0;
+    for (std::size_t k = 0; k < len; ++k) {
+      unit = (unit << 8) | static_cast<unsigned char>(s[i + k]);
+    }
+    out.push_back(unit);
     i += len;
   }
   return out;

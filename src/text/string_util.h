@@ -1,6 +1,7 @@
 #ifndef DIMQR_TEXT_STRING_UTIL_H_
 #define DIMQR_TEXT_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,10 +40,12 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
 
-/// \brief Segments a UTF-8 string into code points (each returned as the
-/// byte sequence of one code point). Invalid bytes are returned as
-/// single-byte segments.
-std::vector<std::string> Utf8CodePoints(std::string_view s);
+/// \brief Segments a UTF-8 string into code points, each packed into one
+/// integer: its bytes, lead byte highest ("a" is 0x61, "千" is 0xE58D83).
+/// Invalid bytes are single-byte units. A multi-byte unit's lead byte is at
+/// least 0xC0, so 1-, 2-, 3- and 4-byte units land in disjoint ranges and
+/// two units are equal iff their byte sequences are.
+std::vector<std::uint32_t> PackedCodePoints(std::string_view s);
 
 /// Number of UTF-8 code points in the string.
 std::size_t Utf8Length(std::string_view s);

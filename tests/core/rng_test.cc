@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <set>
+#include <vector>
 
 namespace dimqr {
 namespace {
@@ -70,9 +73,29 @@ TEST(RngTest, BernoulliRoughlyCalibrated) {
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.03);
 }
 
+std::vector<double> RunningSums(std::vector<double> weights) {
+  std::partial_sum(weights.begin(), weights.end(), weights.begin());
+  return weights;
+}
+
+/// The linear scan WeightedIndex replaced, kept as the reference: the total
+/// by std::accumulate, then the first running sum above one draw.
+std::size_t LinearScanWeightedIndex(Rng& rng,
+                                    const std::vector<double>& weights) {
+  double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  if (total <= 0.0) return 0;
+  double draw = rng.UniformReal(0.0, total);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    if (draw < acc) return i;
+  }
+  return weights.size() - 1;
+}
+
 TEST(RngTest, WeightedIndexFollowsWeights) {
   Rng rng(42);
-  std::vector<double> w = {0.0, 1.0, 3.0};
+  std::vector<double> w = RunningSums({0.0, 1.0, 3.0});
   std::vector<int> counts(3, 0);
   for (int i = 0; i < 10000; ++i) counts[rng.WeightedIndex(w)]++;
   EXPECT_EQ(counts[0], 0);
@@ -81,8 +104,40 @@ TEST(RngTest, WeightedIndexFollowsWeights) {
 
 TEST(RngTest, WeightedIndexAllZeroReturnsZero) {
   Rng rng(42);
-  std::vector<double> w = {0.0, 0.0};
+  std::vector<double> w = RunningSums({0.0, 0.0});
   EXPECT_EQ(rng.WeightedIndex(w), 0u);
+}
+
+TEST(RngTest, WeightedIndexMatchesLinearScan) {
+  // SGNS's negative-sampling table: unigram counts (here a Zipf profile)
+  // raised to 0.75.
+  std::vector<double> unigram;
+  for (int rank = 1; rank <= 800; ++rank) {
+    unigram.push_back(std::pow(std::floor(3000.0 / rank) + 2.0, 0.75));
+  }
+  const std::vector<std::vector<double>> tables = {
+      {0.0, 0.0, 1.0, 2.5, 0.5},  // zeros at the head
+      {1.0, 0.0, 0.0, 3.0, 2.0},  // zeros in the middle
+      {2.0, 1.0, 0.5, 0.0, 0.0},  // zeros at the tail
+      {0.0, 0.0, 0.0},            // all zeros: 0, with no draw
+      {},                         // no weights: 0, with no draw
+      {0.7},                      // one element
+      unigram,
+  };
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    const std::vector<double> sums = RunningSums(tables[t]);
+    for (std::uint64_t stream = 0; stream < 4; ++stream) {
+      Rng fast = Rng::ForStream(20240131, stream);
+      Rng scan = Rng::ForStream(20240131, stream);
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(fast.WeightedIndex(sums),
+                  LinearScanWeightedIndex(scan, tables[t]))
+            << "table " << t << " stream " << stream << " draw " << i;
+      }
+      // Both consumed the same engine draws.
+      EXPECT_EQ(fast.engine()(), scan.engine()()) << "table " << t;
+    }
+  }
 }
 
 TEST(RngTest, ShufflePreservesElements) {

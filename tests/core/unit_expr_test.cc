@@ -145,6 +145,37 @@ TEST(UnitExprTest, NestingDepthIsBounded) {
             dims::Length());
 }
 
+TEST(UnitExprTest, FlatOperatorChainIsBounded) {
+  // A flat chain builds a tree one level taller per operator, and
+  // Evaluate, ToString and the destructor recurse once per level: Parse
+  // must refuse a chain past the limit although its descent stays shallow.
+  // Alternating '*' and '/' keeps the exponent of metre at 1 or 2.
+  auto chain = [](int operators) {
+    std::string text = "m";
+    for (int i = 0; i < operators; ++i) text += i % 2 == 0 ? "*m" : "/m";
+    return text;
+  };
+  EXPECT_EQ(UnitExpr::Parse(chain(100000)).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(UnitExpr::Parse(chain(1000000)).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(UnitExpr::Parse(chain(UnitExpr::kMaxNesting + 1)).status().code(),
+            StatusCode::kParseError);
+  UnitExpr at_limit = UnitExpr::Parse(chain(UnitExpr::kMaxNesting))
+                          .ValueOrDie();
+  EXPECT_EQ(at_limit.EvaluateDimension(TestResolver()).ValueOrDie(),
+            dims::Length());
+  EXPECT_EQ(at_limit.LeafUnits().size(),
+            static_cast<std::size_t>(UnitExpr::kMaxNesting) + 1);
+  // ToString parenthesizes every operator node: kMaxNesting levels, which
+  // parse back.
+  EXPECT_EQ(UnitExpr::Parse(at_limit.ToString())
+                .ValueOrDie()
+                .EvaluateDimension(TestResolver())
+                .ValueOrDie(),
+            dims::Length());
+}
+
 TEST(UnitExprTest, ToStringRoundTripsThroughParse) {
   const char* exprs[] = {"m/s^2", "joule*metre", "km/h", "(m/s)*s"};
   for (const char* text : exprs) {

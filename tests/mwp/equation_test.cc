@@ -132,6 +132,34 @@ TEST(EquationTest, NestingDepthIsBounded) {
                    1.0);
 }
 
+TEST(EquationTest, FlatOperatorChainIsBounded) {
+  // A flat chain builds a tree one level taller per operator, and
+  // Evaluate, ToString and the destructor recurse once per level: Parse
+  // must refuse a chain past the limit although its descent stays shallow.
+  auto chain = [](char op, int operators) {
+    std::string text = "1";
+    for (int i = 0; i < operators; ++i) {
+      text += op;
+      text += '1';
+    }
+    return text;
+  };
+  for (char op : {'+', '*'}) {
+    EXPECT_EQ(Equation::Parse(chain(op, 100000)).status().code(),
+              StatusCode::kParseError);
+    EXPECT_EQ(Equation::Parse(chain(op, 1000000)).status().code(),
+              StatusCode::kParseError);
+    EXPECT_EQ(
+        Equation::Parse(chain(op, Equation::kMaxNesting + 1)).status().code(),
+        StatusCode::kParseError);
+  }
+  Equation sum = Equation::Parse(chain('+', Equation::kMaxNesting))
+                     .ValueOrDie();
+  EXPECT_DOUBLE_EQ(sum.Evaluate().ValueOrDie(), Equation::kMaxNesting + 1.0);
+  EXPECT_EQ(sum.OperationCount(), Equation::kMaxNesting);
+  EXPECT_EQ(sum.ToString(), chain('+', Equation::kMaxNesting));
+}
+
 TEST(EquationAnswersMatchTest, CalculatorScoring) {
   // The Section VI-D calculator: equation strings scored by final value.
   EXPECT_TRUE(EquationAnswersMatch("150*20%/5%-150", 450.0));

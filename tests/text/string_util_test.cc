@@ -61,18 +61,18 @@ TEST(StringUtilTest, ReplaceAll) {
   EXPECT_EQ(ReplaceAll("x", "", "y"), "x");
 }
 
-TEST(StringUtilTest, Utf8CodePointsSegmentsMixedText) {
-  std::vector<std::string> cps = Utf8CodePoints("a千克b");
+TEST(StringUtilTest, PackedCodePointsSegmentsMixedText) {
+  std::vector<std::uint32_t> cps = PackedCodePoints("a千克b");
   ASSERT_EQ(cps.size(), 4u);
-  EXPECT_EQ(cps[0], "a");
-  EXPECT_EQ(cps[1], "千");
-  EXPECT_EQ(cps[2], "克");
-  EXPECT_EQ(cps[3], "b");
+  EXPECT_EQ(cps[0], 0x61u);      // "a"
+  EXPECT_EQ(cps[1], 0xE58D83u);  // "千"
+  EXPECT_EQ(cps[2], 0xE5858Bu);  // "克"
+  EXPECT_EQ(cps[3], 0x62u);      // "b"
 }
 
-TEST(StringUtilTest, Utf8CodePointsSurvivesInvalidBytes) {
+TEST(StringUtilTest, PackedCodePointsSurvivesInvalidBytes) {
   std::string junk = "a\xC3";
-  std::vector<std::string> cps = Utf8CodePoints(junk);
+  std::vector<std::uint32_t> cps = PackedCodePoints(junk);
   EXPECT_EQ(cps.size(), 2u);
 }
 
