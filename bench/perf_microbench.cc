@@ -73,16 +73,6 @@ void BM_DoubleConversionChain(benchmark::State& state) {
 BENCHMARK(BM_DoubleConversionChain);
 
 void BM_KbFindBySurface(benchmark::State& state) {
-  const kb::DimUnitKB& kb = *benchutil::GetKb();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kb.FindBySurface("km"));
-    benchmark::DoNotOptimize(kb.FindBySurface("kilograms"));
-    benchmark::DoNotOptimize(kb.FindBySurface("千克"));
-  }
-}
-BENCHMARK(BM_KbFindBySurface);
-
-void BM_KbFindBySurfaceSpan(benchmark::State& state) {
   // The interned path: SymbolTable lookup + CSR span, zero allocation.
   const kb::DimUnitKB& kb = *benchutil::GetKb();
   for (auto _ : state) {
@@ -91,7 +81,7 @@ void BM_KbFindBySurfaceSpan(benchmark::State& state) {
     benchmark::DoNotOptimize(kb.FindBySurface("千克"));
   }
 }
-BENCHMARK(BM_KbFindBySurfaceSpan);
+BENCHMARK(BM_KbFindBySurface);
 
 void BM_KbConversionFactor(benchmark::State& state) {
   // Resolve-by-string then convert: what a caller starting from UnitID

@@ -220,12 +220,19 @@ Status ParallelFor(
   if (n <= 0) return Status::OK();
   if (grain <= 0) grain = DefaultGrain(n);
   const int chunks = NumChunks(n, grain);
+  // The task captures one pointer, so std::function holds it in place: a
+  // parallel loop costs no heap allocation of its own.
+  struct Loop {
+    std::int64_t n, grain;
+    const std::function<Status(std::int64_t, std::int64_t, int)>& body;
+  } loop{n, grain, body};
   return GlobalPool().Run(
       chunks,
-      [&](int chunk) -> Status {
-        const std::int64_t begin = static_cast<std::int64_t>(chunk) * grain;
-        const std::int64_t end = std::min(n, begin + grain);
-        return body(begin, end, chunk);
+      [&loop](int chunk) -> Status {
+        const std::int64_t begin =
+            static_cast<std::int64_t>(chunk) * loop.grain;
+        const std::int64_t end = std::min(loop.n, begin + loop.grain);
+        return loop.body(begin, end, chunk);
       },
       cancel_mode);
 }

@@ -8,103 +8,88 @@ namespace {
 
 enum class TokKind { kName, kTimes, kOver, kPower, kLParen, kRParen, kInt, kEnd };
 
+/// One token; a name's text views the input.
 struct Token {
-  TokKind kind;
-  std::string text;
+  TokKind kind = TokKind::kEnd;
+  std::string_view text;
   int value = 0;
 };
 
-/// Lexes a unit expression. Unit names may contain letters, digits after a
-/// leading letter, '_', '-', and non-ASCII bytes (UTF-8 unit names).
+Token MakeToken(TokKind kind, std::string_view text = {}, int value = 0) {
+  return Token{kind, text, value};
+}
+
+/// Lexes a unit expression one token per call, so lexing stops where the
+/// parser stops. Unit names may contain letters, digits after a leading
+/// letter, '_', '-', and non-ASCII bytes (UTF-8 unit names).
 class Lexer {
  public:
   explicit Lexer(std::string_view text) : text_(text) {}
 
-  Result<std::vector<Token>> Run() {
-    std::vector<Token> out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == ' ' || c == '\t') {
-        ++pos_;
-        continue;
-      }
-      if (c == '*') {
-        out.push_back({TokKind::kTimes, "*"});
-        ++pos_;
-        continue;
-      }
-      // UTF-8 multiplication sign U+00D7 (0xC3 0x97) and division U+00F7
-      // (0xC3 0xB7).
-      if (static_cast<unsigned char>(c) == 0xC3 && pos_ + 1 < text_.size()) {
-        auto next = static_cast<unsigned char>(text_[pos_ + 1]);
-        if (next == 0x97) {
-          out.push_back({TokKind::kTimes, "x"});
-          pos_ += 2;
-          continue;
-        }
-        if (next == 0xB7) {
-          out.push_back({TokKind::kOver, "/"});
-          pos_ += 2;
-          continue;
-        }
-      }
-      if (c == '/') {
-        out.push_back({TokKind::kOver, "/"});
-        ++pos_;
-        continue;
-      }
-      if (c == '^') {
-        out.push_back({TokKind::kPower, "^"});
-        ++pos_;
-        continue;
-      }
-      if (c == '(') {
-        out.push_back({TokKind::kLParen, "("});
-        ++pos_;
-        continue;
-      }
-      if (c == ')') {
-        out.push_back({TokKind::kRParen, ")"});
-        ++pos_;
-        continue;
-      }
-      if (c == '-' || c == '+' || std::isdigit(static_cast<unsigned char>(c))) {
-        bool neg = c == '-';
-        if (c == '-' || c == '+') ++pos_;
-        if (pos_ >= text_.size() ||
-            !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-          return Status::ParseError("expected digits after sign");
-        }
-        int v = 0;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-          v = v * 10 + (text_[pos_] - '0');
-          if (v > 127) return Status::OutOfRange("exponent too large");
-          ++pos_;
-        }
-        out.push_back({TokKind::kInt, "", neg ? -v : v});
-        continue;
-      }
-      if (IsNameChar(c, /*leading=*/true)) {
-        std::string name;
-        while (pos_ < text_.size() && IsNameChar(text_[pos_], false)) {
-          name += text_[pos_++];
-        }
-        // Lone 'x' between terms means multiplication; "per" means division.
-        if (name == "x" || name == "X") {
-          out.push_back({TokKind::kTimes, "x"});
-        } else if (name == "per" || name == "PER" || name == "Per") {
-          out.push_back({TokKind::kOver, "per"});
-        } else {
-          out.push_back({TokKind::kName, std::move(name)});
-        }
-        continue;
-      }
-      return Status::ParseError(std::string("unexpected character '") + c +
-                                "' in unit expression");
+  /// The next token; kEnd once the input is consumed.
+  Result<Token> Next() {
+    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t')) {
+      ++pos_;
     }
-    out.push_back({TokKind::kEnd, ""});
-    return out;
+    if (pos_ >= text_.size()) return MakeToken(TokKind::kEnd);
+    char c = text_[pos_];
+    // UTF-8 multiplication sign U+00D7 (0xC3 0x97) and division U+00F7
+    // (0xC3 0xB7).
+    if (static_cast<unsigned char>(c) == 0xC3 && pos_ + 1 < text_.size()) {
+      auto next = static_cast<unsigned char>(text_[pos_ + 1]);
+      if (next == 0x97 || next == 0xB7) {
+        pos_ += 2;
+        return MakeToken(next == 0x97 ? TokKind::kTimes : TokKind::kOver);
+      }
+    }
+    switch (c) {
+      case '*':
+        ++pos_;
+        return MakeToken(TokKind::kTimes);
+      case '/':
+        ++pos_;
+        return MakeToken(TokKind::kOver);
+      case '^':
+        ++pos_;
+        return MakeToken(TokKind::kPower);
+      case '(':
+        ++pos_;
+        return MakeToken(TokKind::kLParen);
+      case ')':
+        ++pos_;
+        return MakeToken(TokKind::kRParen);
+      default:
+        break;
+    }
+    if (c == '-' || c == '+' || std::isdigit(static_cast<unsigned char>(c))) {
+      bool neg = c == '-';
+      if (c == '-' || c == '+') ++pos_;
+      if (pos_ >= text_.size() ||
+          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+        return Status::ParseError("expected digits after sign");
+      }
+      int v = 0;
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+        v = v * 10 + (text_[pos_] - '0');
+        if (v > 127) return Status::OutOfRange("exponent too large");
+        ++pos_;
+      }
+      return MakeToken(TokKind::kInt, {}, neg ? -v : v);
+    }
+    if (IsNameChar(c, /*leading=*/true)) {
+      const std::size_t begin = pos_;
+      while (pos_ < text_.size() && IsNameChar(text_[pos_], false)) ++pos_;
+      const std::string_view name = text_.substr(begin, pos_ - begin);
+      // Lone 'x' between terms means multiplication; "per" means division.
+      if (name == "x" || name == "X") return MakeToken(TokKind::kTimes);
+      if (name == "per" || name == "PER" || name == "Per") {
+        return MakeToken(TokKind::kOver);
+      }
+      return MakeToken(TokKind::kName, name);
+    }
+    return Status::ParseError(std::string("unexpected character '") + c +
+                              "' in unit expression");
   }
 
  private:
@@ -122,31 +107,36 @@ class Lexer {
 
 }  // namespace
 
-/// Recursive-descent parser over the token stream.
+/// Recursive-descent parser over the lexer's tokens, one token of
+/// lookahead: a refused input is lexed only as far as the parser read it.
 class UnitExprParser {
  public:
-  explicit UnitExprParser(std::vector<Token> tokens)
-      : tokens_(std::move(tokens)) {}
+  explicit UnitExprParser(std::string_view text) : lexer_(text) {}
 
   Result<UnitExpr> Parse() {
+    DIMQR_RETURN_NOT_OK(Advance());
     int height = 0;
     DIMQR_ASSIGN_OR_RETURN(UnitExpr e, ParseExpr(height));
-    if (Peek().kind != TokKind::kEnd) {
+    if (next_.kind != TokKind::kEnd) {
       return Status::ParseError("trailing tokens in unit expression");
     }
     return e;
   }
 
  private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  Token Take() { return tokens_[pos_++]; }
+  /// Replaces the lookahead with the input's next token.
+  Status Advance() {
+    DIMQR_ASSIGN_OR_RETURN(next_, lexer_.Next());
+    return Status::OK();
+  }
 
   // Each Parse* sets `height` to the height of the tree it returns: 0 for
   // a unit name, one more than the tallest child for an operator node.
   Result<UnitExpr> ParseExpr(int& height) {
     DIMQR_ASSIGN_OR_RETURN(UnitExpr lhs, ParseTerm(height));
-    while (Peek().kind == TokKind::kTimes || Peek().kind == TokKind::kOver) {
-      TokKind op = Take().kind;
+    while (next_.kind == TokKind::kTimes || next_.kind == TokKind::kOver) {
+      TokKind op = next_.kind;
+      DIMQR_RETURN_NOT_OK(Advance());
       int rhs_height = 0;
       DIMQR_ASSIGN_OR_RETURN(UnitExpr rhs, ParseTerm(rhs_height));
       DIMQR_RETURN_NOT_OK(Join(height, rhs_height));
@@ -162,12 +152,13 @@ class UnitExprParser {
 
   Result<UnitExpr> ParseTerm(int& height) {
     DIMQR_ASSIGN_OR_RETURN(UnitExpr base, ParseFactor(height));
-    if (Peek().kind == TokKind::kPower) {
-      Take();
-      if (Peek().kind != TokKind::kInt) {
+    if (next_.kind == TokKind::kPower) {
+      DIMQR_RETURN_NOT_OK(Advance());
+      if (next_.kind != TokKind::kInt) {
         return Status::ParseError("expected integer exponent after '^'");
       }
-      int e = Take().value;
+      int e = next_.value;
+      DIMQR_RETURN_NOT_OK(Advance());
       DIMQR_RETURN_NOT_OK(Join(height, 0));
       UnitExpr node;
       node.kind_ = UnitExpr::Kind::kPower;
@@ -179,26 +170,27 @@ class UnitExprParser {
   }
 
   Result<UnitExpr> ParseFactor(int& height) {
-    if (Peek().kind == TokKind::kLParen) {
-      Take();
+    if (next_.kind == TokKind::kLParen) {
       // One recursion per level: bound it before the stack runs out. An
       // error leaves depth_ raised, but it also ends the parse.
       if (++depth_ > UnitExpr::kMaxNesting) {
         return Status::ParseError("unit expression nested too deeply");
       }
+      DIMQR_RETURN_NOT_OK(Advance());
       DIMQR_ASSIGN_OR_RETURN(UnitExpr e, ParseExpr(height));
       --depth_;
-      if (Peek().kind != TokKind::kRParen) {
+      if (next_.kind != TokKind::kRParen) {
         return Status::ParseError("missing ')' in unit expression");
       }
-      Take();
+      DIMQR_RETURN_NOT_OK(Advance());
       return e;
     }
-    if (Peek().kind == TokKind::kName) {
+    if (next_.kind == TokKind::kName) {
       height = 0;
       UnitExpr node;
       node.kind_ = UnitExpr::Kind::kUnit;
-      node.name_ = Take().text;
+      node.name_ = std::string(next_.text);
+      DIMQR_RETURN_NOT_OK(Advance());
       return node;
     }
     return Status::ParseError("expected unit name or '(' in unit expression");
@@ -216,16 +208,14 @@ class UnitExprParser {
     return Status::OK();
   }
 
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
+  Lexer lexer_;
+  Token next_;
   int depth_ = 0;
 };
 
 Result<UnitExpr> UnitExpr::Parse(std::string_view text) {
   if (text.empty()) return Status::ParseError("empty unit expression");
-  Lexer lexer(text);
-  DIMQR_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Run());
-  UnitExprParser parser(std::move(tokens));
+  UnitExprParser parser(text);
   return parser.Parse();
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,10 +19,36 @@ namespace dimqr::lm::kernels {
 // funnels its epilogue/edge arithmetic through identical codegen.
 // ---------------------------------------------------------------------------
 
-float Gelu(float x) {
-  constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-  float inner = kGeluC * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
+namespace {
+
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+/// The forward's tanh argument; Gelu and the epilogue both round it this way.
+float GeluInner(float x) { return kGeluC * (x + 0.044715f * x * x * x); }
+
+/// Gelu(x), given t = tanh(GeluInner(x)).
+float GeluOfTanh(float x, float t) { return 0.5f * x * (1.0f + t); }
+
+}  // namespace
+
+float Gelu(float x) { return GeluOfTanh(x, std::tanh(GeluInner(x))); }
+
+void GeluBackward(const float* pre, const float* tanh_fwd, const float* d_act,
+                  float* d_pre, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float x = pre[i];
+    const float x3 = x * x * x;
+    const float inner = kGeluC * (x + 0.044715f * x3);
+    const float t =
+        std::bit_cast<std::uint32_t>(inner) ==
+                std::bit_cast<std::uint32_t>(GeluInner(x))
+            ? tanh_fwd[i]
+            : std::tanh(inner);
+    const float sech2 = 1.0f - t * t;
+    d_pre[i] = d_act[i] * (0.5f * (1.0f + t) +
+                           0.5f * x * sech2 * kGeluC *
+                               (1.0f + 3.0f * 0.044715f * x * x));
+  }
 }
 
 namespace internal {
@@ -38,14 +66,17 @@ void ApplyEpilogueStrip(float* c, const Epilogue& e, int m, int n, int j0,
     float* orow = (e.out != nullptr ? e.out : c) + row;
     const float* rrow = e.residual != nullptr ? e.residual + row : nullptr;
     float* grow = e.gelu_out != nullptr ? e.gelu_out + row : nullptr;
+    float* trow = e.tanh_out != nullptr ? e.tanh_out + row : nullptr;
     for (int j = j0; j < j1; ++j) {
       float v = crow[j];
       if (e.bias != nullptr) v += e.bias[j];
       if (rrow != nullptr) v = rrow[j] + v;
       if (grow != nullptr) {
-        float g = Gelu(v);
+        const float t = std::tanh(GeluInner(v));
+        const float g = GeluOfTanh(v, t);
         orow[j] = v;   // pre-activation first ...
         grow[j] = g;   // ... so gelu_out == out yields the activation.
+        if (trow != nullptr) trow[j] = t;
       } else {
         orow[j] = v;
       }
@@ -108,6 +139,25 @@ float ReduceLanes16(const float* lanes) {
   for (int w = 0; w < 4; ++w) s4[w] = s8[w] + s8[w + 4];
   for (int w = 0; w < 2; ++w) s2[w] = s4[w] + s4[w + 2];
   return s2[0] + s2[1];
+}
+
+void FoldAdamTail(float* const* chunks, int num_chunks, std::size_t begin,
+                  std::size_t end, const AdamStep& step, float* params,
+                  float* m, float* v) {
+  for (std::size_t i = begin; i < end; ++i) {
+    float g = chunks[0][i];
+    chunks[0][i] = 0.0f;
+    for (int c = 1; c < num_chunks; ++c) {
+      g += chunks[c][i];
+      chunks[c][i] = 0.0f;
+    }
+    g *= step.inv_n;
+    m[i] = step.beta1 * m[i] + (1.0f - step.beta1) * g;
+    v[i] = step.beta2 * v[i] + (1.0f - step.beta2) * g * g;
+    const float mhat = m[i] / step.bc1;
+    const float vhat = v[i] / step.bc2;
+    params[i] -= step.lr * mhat / (std::sqrt(vhat) + step.eps);
+  }
 }
 
 }  // namespace internal
@@ -283,7 +333,8 @@ void ScalarGradB(const float* a, const float* dc, float* db, int m, int k,
 }  // namespace
 
 namespace internal {
-const KernelTable kScalarKernels = {ScalarMatMul, ScalarGradA, ScalarGradB};
+const KernelTable kScalarKernels = {ScalarMatMul, ScalarGradA, ScalarGradB,
+                                    FoldAdamTail};
 }  // namespace internal
 
 // ---------------------------------------------------------------------------
@@ -408,6 +459,12 @@ void MatMulGradA(const float* dc, const float* b, float* da, int m, int k,
 void MatMulGradB(const float* a, const float* dc, float* db, int m, int k,
                  int n) {
   ActiveTable().grad_b(a, dc, db, m, k, n);
+}
+
+void FoldAdam(float* const* chunks, int num_chunks, std::size_t begin,
+              std::size_t end, const AdamStep& step, float* params, float* m,
+              float* v) {
+  ActiveTable().fold_adam(chunks, num_chunks, begin, end, step, params, m, v);
 }
 
 }  // namespace dimqr::lm::kernels

@@ -5,8 +5,8 @@
 /// construction as kernels_avx512.cc: separate mul/add (no FMA), left
 /// operand broadcast across lanes, GradA's 16-lane recipe carried as two
 /// 8-lane vectors (acc0 = lanes 0..7, acc1 = lanes 8..15), and all
-/// remainders/epilogues routed through the shared scalar helpers in
-/// kernels.cc.
+/// remainders/epilogues (FoldAdam's tail too) routed through the shared
+/// scalar helpers in kernels.cc.
 
 #include <immintrin.h>
 
@@ -169,8 +169,51 @@ void GradBAvx2(const float* a, const float* dc, float* db, int m, int k,
   }
 }
 
+/// FoldAdam, 8 elements per step (see FoldAdamAvx512).
+void FoldAdamAvx2(float* const* chunks, int num_chunks, std::size_t begin,
+                  std::size_t end, const AdamStep& step, float* params,
+                  float* m, float* v) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 inv_n = _mm256_set1_ps(step.inv_n);
+  const __m256 beta1 = _mm256_set1_ps(step.beta1);
+  const __m256 beta2 = _mm256_set1_ps(step.beta2);
+  const __m256 one_minus_beta1 = _mm256_set1_ps(1.0f - step.beta1);
+  const __m256 one_minus_beta2 = _mm256_set1_ps(1.0f - step.beta2);
+  const __m256 bc1 = _mm256_set1_ps(step.bc1);
+  const __m256 bc2 = _mm256_set1_ps(step.bc2);
+  const __m256 lr = _mm256_set1_ps(step.lr);
+  const __m256 eps = _mm256_set1_ps(step.eps);
+  std::size_t i = begin;
+  for (; i + 8 <= end; i += 8) {
+    __m256 g = _mm256_loadu_ps(chunks[0] + i);
+    _mm256_storeu_ps(chunks[0] + i, zero);
+    for (int c = 1; c < num_chunks; ++c) {
+      g = _mm256_add_ps(g, _mm256_loadu_ps(chunks[c] + i));
+      _mm256_storeu_ps(chunks[c] + i, zero);
+    }
+    g = _mm256_mul_ps(g, inv_n);
+    const __m256 mi =
+        _mm256_add_ps(_mm256_mul_ps(beta1, _mm256_loadu_ps(m + i)),
+                      _mm256_mul_ps(one_minus_beta1, g));
+    const __m256 vi = _mm256_add_ps(
+        _mm256_mul_ps(beta2, _mm256_loadu_ps(v + i)),
+        _mm256_mul_ps(_mm256_mul_ps(one_minus_beta2, g), g));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    const __m256 mhat = _mm256_div_ps(mi, bc1);
+    const __m256 vhat = _mm256_div_ps(vi, bc2);
+    const __m256 update =
+        _mm256_div_ps(_mm256_mul_ps(lr, mhat),
+                      _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
+    _mm256_storeu_ps(params + i,
+                     _mm256_sub_ps(_mm256_loadu_ps(params + i), update));
+  }
+  if (i < end) FoldAdamTail(chunks, num_chunks, i, end, step, params, m, v);
+}
+
 }  // namespace
 
-const KernelTable kAvx2Kernels = {MatMulAvx2, GradAAvx2, GradBAvx2};
+const KernelTable kAvx2Kernels = {MatMulAvx2, GradAAvx2, GradBAvx2,
+                                  FoldAdamAvx2};
 
 }  // namespace dimqr::lm::kernels::internal

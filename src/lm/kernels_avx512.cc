@@ -16,8 +16,8 @@
 ///    recipe (internal::AccumulateLanes16 / ReduceLanes16) — sub-16 tails
 ///    are folded in by dumping the vector to a float[16] and calling the
 ///    shared helpers;
-///  - all j-remainders and epilogues run through the shared scalar helpers
-///    compiled once in kernels.cc.
+///  - all j-remainders, epilogues and FoldAdam's sub-vector tail run
+///    through the shared scalar helpers compiled once in kernels.cc.
 
 #include <immintrin.h>
 
@@ -209,8 +209,55 @@ void GradBAvx512(const float* a, const float* dc, float* db, int m, int k,
   }
 }
 
+/// FoldAdam, 16 elements per step: the chunk sum is built in chunk order
+/// and each step of the Adam recipe is one correctly rounded vector op.
+void FoldAdamAvx512(float* const* chunks, int num_chunks, std::size_t begin,
+                    std::size_t end, const AdamStep& step, float* params,
+                    float* m, float* v) {
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 inv_n = _mm512_set1_ps(step.inv_n);
+  const __m512 beta1 = _mm512_set1_ps(step.beta1);
+  const __m512 beta2 = _mm512_set1_ps(step.beta2);
+  const __m512 one_minus_beta1 = _mm512_set1_ps(1.0f - step.beta1);
+  const __m512 one_minus_beta2 = _mm512_set1_ps(1.0f - step.beta2);
+  const __m512 bc1 = _mm512_set1_ps(step.bc1);
+  const __m512 bc2 = _mm512_set1_ps(step.bc2);
+  const __m512 lr = _mm512_set1_ps(step.lr);
+  const __m512 eps = _mm512_set1_ps(step.eps);
+  std::size_t i = begin;
+  for (; i + 16 <= end; i += 16) {
+    __m512 g = _mm512_loadu_ps(chunks[0] + i);
+    _mm512_storeu_ps(chunks[0] + i, zero);
+    for (int c = 1; c < num_chunks; ++c) {
+      g = _mm512_add_ps(g, _mm512_loadu_ps(chunks[c] + i));
+      _mm512_storeu_ps(chunks[c] + i, zero);
+    }
+    g = _mm512_mul_ps(g, inv_n);
+    const __m512 mi =
+        _mm512_add_ps(_mm512_mul_ps(beta1, _mm512_loadu_ps(m + i)),
+                      _mm512_mul_ps(one_minus_beta1, g));
+    const __m512 vi = _mm512_add_ps(
+        _mm512_mul_ps(beta2, _mm512_loadu_ps(v + i)),
+        _mm512_mul_ps(_mm512_mul_ps(one_minus_beta2, g), g));
+    _mm512_storeu_ps(m + i, mi);
+    _mm512_storeu_ps(v + i, vi);
+    const __m512 mhat = _mm512_div_ps(mi, bc1);
+    const __m512 vhat = _mm512_div_ps(vi, bc2);
+    // All 16 lanes: the plain sqrt's undefined pass-through source trips
+    // GCC 12's -Wmaybe-uninitialized.
+    const __m512 root = _mm512_maskz_sqrt_ps(static_cast<__mmask16>(0xFFFF),
+                                             vhat);
+    const __m512 update = _mm512_div_ps(_mm512_mul_ps(lr, mhat),
+                                        _mm512_add_ps(root, eps));
+    _mm512_storeu_ps(params + i,
+                     _mm512_sub_ps(_mm512_loadu_ps(params + i), update));
+  }
+  if (i < end) FoldAdamTail(chunks, num_chunks, i, end, step, params, m, v);
+}
+
 }  // namespace
 
-const KernelTable kAvx512Kernels = {MatMulAvx512, GradAAvx512, GradBAvx512};
+const KernelTable kAvx512Kernels = {MatMulAvx512, GradAAvx512, GradBAvx512,
+                                    FoldAdamAvx512};
 
 }  // namespace dimqr::lm::kernels::internal

@@ -11,9 +11,9 @@
 /// Bit-identity across tiers leans on two rules enforced here:
 ///  1. Every helper that does floating-point arithmetic shared between
 ///     tiers (epilogues, scalar edge loops, the GradA lane tail and
-///     reduction tree) is compiled exactly once, in kernels.cc, with the
-///     baseline flags — never inlined into a TU with different codegen
-///     options.
+///     reduction tree, the FoldAdam tail) is compiled exactly once, in
+///     kernels.cc, with the baseline flags — never inlined into a TU with
+///     different codegen options.
 ///  2. Vector TUs are compiled with -ffp-contract=off and use separate
 ///     mul/add intrinsics, so their per-element rounding matches the
 ///     baseline build (which has no FMA instruction to contract into).
@@ -34,6 +34,9 @@ struct KernelTable {
                  int n);
   void (*grad_b)(const float* a, const float* dc, float* db, int m, int k,
                  int n);
+  void (*fold_adam)(float* const* chunks, int num_chunks, std::size_t begin,
+                    std::size_t end, const AdamStep& step, float* params,
+                    float* m, float* v);
 };
 
 extern const KernelTable kScalarKernels;
@@ -73,6 +76,12 @@ void GradBTail(const float* a, const float* dc, float* db, int m, int k,
 /// uses it for whole tiles.
 void AccumulateLanes16(const float* x, const float* y, int len,
                        float* lanes);
+
+/// FoldAdam's recipe (see kernels.h) over elements [begin, end): the scalar
+/// tier's whole kernel and the vector tiers' sub-vector tail.
+void FoldAdamTail(float* const* chunks, int num_chunks, std::size_t begin,
+                  std::size_t end, const AdamStep& step, float* params,
+                  float* m, float* v);
 
 /// The fixed pairwise reduction tree over 16 lanes:
 /// (w,w+8) -> (w,w+4) -> (w,w+2) -> (0,1).

@@ -1,6 +1,7 @@
 #include "lm/transformer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -15,22 +16,10 @@ namespace {
 using dimqr::Result;
 using dimqr::Status;
 using kernels::Epilogue;
-using kernels::Gelu;  // single shared definition; fused epilogues must agree
 using kernels::MatMul;
 using kernels::MatMulEx;
 using kernels::MatMulGradA;
 using kernels::MatMulGradB;
-
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-
-float GeluGrad(float x) {
-  float x3 = x * x * x;
-  float inner = kGeluC * (x + 0.044715f * x3);
-  float t = std::tanh(inner);
-  float sech2 = 1.0f - t * t;
-  return 0.5f * (1.0f + t) +
-         0.5f * x * sech2 * kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-}
 
 /// LayerNorm forward for one row. Returns (mean, rstd).
 void LayerNormRow(const float* x, const float* g, const float* b, float* y,
@@ -143,14 +132,54 @@ class TransformerLayout {
 /// layer: the residual rows entering the layer (`x_in`) and after attention
 /// (`x_mid`), both LayerNorm outputs with their per-row mean and rstd, the
 /// fused QKV rows, the H x T x T attention probabilities, the attention
-/// context and the FFN pre- and post-activation rows.
+/// context, the FFN pre- and post-activation rows and the GELU's tanh.
 struct ForwardActivations {
   struct Layer {
-    AlignedVec<float> x_in, ln1, qkv, att, ctx, x_mid, ln2, ff_pre, ff_act;
+    AlignedVec<float> x_in, ln1, qkv, att, ctx, x_mid, ln2, ff_pre, ff_act,
+        ff_tanh;
     AlignedVec<float> ln1_mean, ln1_rstd, ln2_mean, ln2_rstd;
   };
   std::vector<Layer> layers;
 };
+
+namespace {
+
+/// \brief ForwardBackward's per-thread scratch: the state Forward runs in
+/// (decode callers hold ThreadLocalDecodeState() across a whole Greedy, so
+/// training keeps its own), the activations backward reads, the loss rows
+/// and backward's own buffers. Each call re-sizes them with assign/resize,
+/// which keeps their capacity, so a warm thread allocates nothing.
+struct TrainScratch {
+  DecodeState state;
+  ForwardActivations acts;
+  std::vector<int> loss_pos;
+  std::vector<float> lnf, lnf_mean, lnf_rstd, hs, probs, dhs, dlnf, dx;
+  std::vector<float> d_mid, d_ln2, d_ff_act, d_ff_pre, d_ctx, d_ln1, d_qkv,
+      d_att;
+};
+
+/// \brief The chunk gradient buffers of TrainBatch, kept across steps. A
+/// batch splits into at most kMaxChunks chunks; chunk c accumulates its
+/// examples into grads[c], and FoldAdam reads (and zeroes) them all, so
+/// every buffer is zero between steps.
+struct TrainWorkspace {
+  static constexpr int kMaxChunks = 8;
+
+  /// Sizes the first `chunks` buffers to `size` floats. A buffer already of
+  /// that size is left as it is (zero); a resized one is zero-filled.
+  void Bind(std::size_t size, int chunks) {
+    for (int c = 0; c < chunks; ++c) {
+      if (grads[c].size() != size) grads[c].assign(size, 0.0f);
+      chunk_data[c] = grads[c].data();
+    }
+  }
+
+  std::array<AlignedVec<float>, kMaxChunks> grads;
+  std::array<float*, kMaxChunks> chunk_data{};
+  std::array<double, kMaxChunks> loss{};
+};
+
+}  // namespace
 
 Result<Transformer> Transformer::Shell(const TransformerConfig& config) {
   if (config.vocab_size <= SpecialTokensGuard()) {
@@ -262,7 +291,7 @@ void Transformer::Detach() {
 int Transformer::SpecialTokensGuard() { return 6; }
 
 Result<double> Transformer::ForwardBackward(const LmExample& example,
-                                            AlignedVec<float>* grads) const {
+                                            float* grads) const {
   const TransformerConfig& c = config_;
   const TransformerLayout& lay = *layout_;
   const float* P = params_v_.data();
@@ -284,10 +313,13 @@ Result<double> Transformer::ForwardBackward(const LmExample& example,
             V = c.vocab_size, L = c.n_layers;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(Dh));
   auto TD = static_cast<std::size_t>(T) * D;
+  auto TF = static_cast<std::size_t>(T) * F;
+  static thread_local TrainScratch scratch;
 
   // Loss positions: predict tokens[t] from prefix ending at t-1, for every
   // t >= 1 with mask[t] set.
-  std::vector<int> loss_pos;
+  std::vector<int>& loss_pos = scratch.loss_pos;
+  loss_pos.clear();
   for (int t = 1; t < T; ++t) {
     if (mask[t]) loss_pos.push_back(t);
   }
@@ -297,28 +329,33 @@ Result<double> Transformer::ForwardBackward(const LmExample& example,
   const int n_loss = static_cast<int>(loss_pos.size());
 
   // ---- forward ----
-  // The decode pass over all T rows, from a state of training's own:
-  // decode callers hold ThreadLocalDecodeState() across a whole Greedy.
-  static thread_local DecodeState state;
+  DecodeState& state = scratch.state;
   state.Bind(c);
-  ForwardActivations acts;
+  ForwardActivations& acts = scratch.acts;
   acts.layers.resize(static_cast<std::size_t>(L));
   DIMQR_RETURN_NOT_OK(Forward(tokens, T, state, &acts));
   const float* x = state.rows_x_.data();
-  std::vector<float> lnf(TD), lnf_mean(T), lnf_rstd(T);
+  std::vector<float>& lnf = scratch.lnf;
+  std::vector<float>& lnf_mean = scratch.lnf_mean;
+  std::vector<float>& lnf_rstd = scratch.lnf_rstd;
+  lnf.resize(TD);
+  lnf_mean.resize(static_cast<std::size_t>(T));
+  lnf_rstd.resize(static_cast<std::size_t>(T));
   LayerNormRows(x, P + lay.lnf_g, P + lay.lnf_b, lnf.data(), T, D,
                 lnf_mean.data(), lnf_rstd.data());
 
   // Gather the hidden rows that feed the loss and run the head ONCE as an
   // n_loss-row GEMM with the softmax folded into its epilogue — the old
   // code paid a separate D x V pass (plus a full softmax) per position.
-  std::vector<float> hs(static_cast<std::size_t>(n_loss) * D);
+  std::vector<float>& hs = scratch.hs;
+  hs.resize(static_cast<std::size_t>(n_loss) * D);
   for (int r = 0; r < n_loss; ++r) {
     std::memcpy(hs.data() + static_cast<std::size_t>(r) * D,
                 lnf.data() + static_cast<std::size_t>(loss_pos[r] - 1) * D,
                 sizeof(float) * static_cast<std::size_t>(D));
   }
-  std::vector<float> probs(static_cast<std::size_t>(n_loss) * V);
+  std::vector<float>& probs = scratch.probs;
+  probs.resize(static_cast<std::size_t>(n_loss) * V);
   Epilogue head_epi;
   head_epi.softmax_rows = true;
   MatMulEx(hs.data(), P + lay.w_head, probs.data(), n_loss, D, V, head_epi);
@@ -333,7 +370,7 @@ Result<double> Transformer::ForwardBackward(const LmExample& example,
   loss /= n_loss;
   if (grads == nullptr) return loss;
 
-  float* G = grads->data();
+  float* G = grads;
   // dlogits = (probs - onehot(target)) * loss_scale, reusing probs in place;
   // then both head gradients are single GEMMs over the gathered rows.
   for (int r = 0; r < n_loss; ++r) {
@@ -342,9 +379,11 @@ Result<double> Transformer::ForwardBackward(const LmExample& example,
     for (int vtok = 0; vtok < V; ++vtok) prow[vtok] *= loss_scale;
   }
   MatMulGradB(hs.data(), probs.data(), G + lay.w_head, n_loss, D, V);
-  std::vector<float> dhs(static_cast<std::size_t>(n_loss) * D, 0.0f);
+  std::vector<float>& dhs = scratch.dhs;
+  dhs.assign(static_cast<std::size_t>(n_loss) * D, 0.0f);
   MatMulGradA(probs.data(), P + lay.w_head, dhs.data(), n_loss, D, V);
-  std::vector<float> dlnf(TD, 0.0f);  // gradient wrt lnf rows
+  std::vector<float>& dlnf = scratch.dlnf;  // gradient wrt lnf rows
+  dlnf.assign(TD, 0.0f);
   for (int r = 0; r < n_loss; ++r) {
     const float* srow = dhs.data() + static_cast<std::size_t>(r) * D;
     float* drow =
@@ -352,7 +391,8 @@ Result<double> Transformer::ForwardBackward(const LmExample& example,
     for (int i = 0; i < D; ++i) drow[i] += srow[i];
   }
   // ---- backward ----
-  std::vector<float> dx(TD, 0.0f);
+  std::vector<float>& dx = scratch.dx;
+  dx.assign(TD, 0.0f);
   for (int t = 0; t < T; ++t) {
     LayerNormRowBackward(x + static_cast<std::size_t>(t) * D,
                          P + lay.lnf_g,
@@ -362,14 +402,24 @@ Result<double> Transformer::ForwardBackward(const LmExample& example,
                          G + lay.lnf_g, G + lay.lnf_b, D);
   }
 
-  std::vector<float> d_mid(TD), d_ln2(TD), d_ff_act, d_ff_pre, d_ctx(TD),
-      d_ln1(TD), d_qkv, d_att;
+  std::vector<float>& d_mid = scratch.d_mid;
+  std::vector<float>& d_ln2 = scratch.d_ln2;
+  std::vector<float>& d_ff_act = scratch.d_ff_act;
+  std::vector<float>& d_ff_pre = scratch.d_ff_pre;
+  std::vector<float>& d_ctx = scratch.d_ctx;
+  std::vector<float>& d_ln1 = scratch.d_ln1;
+  std::vector<float>& d_qkv = scratch.d_qkv;
+  std::vector<float>& d_att = scratch.d_att;
+  d_ln2.resize(TD);
+  d_ctx.resize(TD);
+  d_ln1.resize(TD);
+  d_ff_pre.resize(TF);
   for (int l = L - 1; l >= 0; --l) {
     const TransformerLayout::Layer& W = lay.layers[l];
     const ForwardActivations::Layer& a = acts.layers[l];
     // dx is gradient wrt the layer's output rows.
     // x_out = x_mid + (gelu(ln2.W1+b1)).W2 + b2
-    d_ff_act.assign(static_cast<std::size_t>(T) * F, 0.0f);
+    d_ff_act.assign(TF, 0.0f);
     MatMulGradA(dx.data(), P + W.w2, d_ff_act.data(), T, F, D);
     MatMulGradB(a.ff_act.data(), dx.data(), G + W.w2, T, F, D);
     for (int t = 0; t < T; ++t) {
@@ -377,10 +427,8 @@ Result<double> Transformer::ForwardBackward(const LmExample& example,
         G[W.b2 + i] += dx[static_cast<std::size_t>(t) * D + i];
       }
     }
-    d_ff_pre.assign(static_cast<std::size_t>(T) * F, 0.0f);
-    for (std::size_t i = 0; i < d_ff_pre.size(); ++i) {
-      d_ff_pre[i] = d_ff_act[i] * GeluGrad(a.ff_pre[i]);
-    }
+    kernels::GeluBackward(a.ff_pre.data(), a.ff_tanh.data(), d_ff_act.data(),
+                          d_ff_pre.data(), TF);
     std::fill(d_ln2.begin(), d_ln2.end(), 0.0f);
     MatMulGradA(d_ff_pre.data(), P + W.w1, d_ln2.data(), T, D, F);
     MatMulGradB(a.ln2.data(), d_ff_pre.data(), G + W.w1, T, D, F);
@@ -496,67 +544,78 @@ Result<double> Transformer::TrainBatch(const std::vector<LmExample>& batch,
   }
   const auto n = static_cast<std::int64_t>(batch.size());
   // Examples are grouped into at most 8 chunks; each chunk accumulates its
-  // examples (in index order) into its own gradient buffer, and the chunk
-  // buffers are folded together in chunk order afterwards. The grouping is a
+  // examples (in index order) into its own gradient buffer, and FoldAdam
+  // folds the chunk buffers together in chunk order. The grouping is a
   // function of the batch size only, so the gradient — and the loss below —
   // is bit-for-bit identical at every DIMQR_THREADS setting.
   const std::int64_t grain = (n + 7) / 8;
-  struct Partial {
-    AlignedVec<float> grads;
-    double loss = 0.0;
-  };
-  DIMQR_ASSIGN_OR_RETURN(
-      Partial total,
-      (ParallelMapReduce<Partial>(
-          n, Partial{},
-          [&](std::int64_t begin, std::int64_t end, int) -> Result<Partial> {
-            Partial p;
-            p.grads.assign(params_v_.size(), 0.0f);
-            for (std::int64_t i = begin; i < end; ++i) {
-              DIMQR_ASSIGN_OR_RETURN(
-                  double loss,
-                  ForwardBackward(batch[static_cast<std::size_t>(i)],
-                                  &p.grads));
-              p.loss += loss;
-            }
-            return p;
-          },
-          [](Partial& acc, Partial&& p) {
-            if (acc.grads.empty()) {
-              acc = std::move(p);
-              return;
-            }
-            for (std::size_t i = 0; i < acc.grads.size(); ++i) {
-              acc.grads[i] += p.grads[i];
-            }
-            acc.loss += p.loss;
-          },
-          grain)));
-  const AlignedVec<float>& grads = total.grads;
+  const int chunks = NumChunks(n, grain);
+  // The calling thread's workspace. The chunk bodies run on pool workers,
+  // so they reach it through the capture: a thread_local named inside a
+  // body would be each worker's own, empty, instance.
+  static thread_local TrainWorkspace workspace;
+  workspace.Bind(params_.size(), chunks);
+  // Both bodies capture this one frame by reference, a single pointer, so
+  // std::function keeps them in place instead of on the heap.
+  struct Frame {
+    Transformer& model;
+    const std::vector<LmExample>& batch;
+    TrainWorkspace& ws;
+    int chunks;
+    kernels::AdamStep adam;
+  } f{*this, batch, workspace, chunks, {}};
+  Status st = ParallelFor(
+      n,
+      [&f](std::int64_t begin, std::int64_t end, int chunk) -> Status {
+        float* grads = f.ws.chunk_data[static_cast<std::size_t>(chunk)];
+        double loss_sum = 0.0;
+        for (std::int64_t i = begin; i < end; ++i) {
+          DIMQR_ASSIGN_OR_RETURN(
+              double loss,
+              f.model.ForwardBackward(f.batch[static_cast<std::size_t>(i)],
+                                      grads));
+          loss_sum += loss;
+        }
+        f.ws.loss[static_cast<std::size_t>(chunk)] = loss_sum;
+        return Status::OK();
+      },
+      grain);
+  if (!st.ok()) {
+    // Chunks that ran before or beside the failure have accumulated; clear
+    // them so the next step starts from zero, as a fresh one would.
+    for (int c = 0; c < chunks; ++c) {
+      std::fill(workspace.grads[c].begin(), workspace.grads[c].end(), 0.0f);
+    }
+    return st;
+  }
+  double loss = workspace.loss[0];
+  for (int c = 1; c < chunks; ++c) loss += workspace.loss[c];
 
-  float inv_n = 1.0f / static_cast<float>(batch.size());
   ++adam_step_;
-  const float beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
-  float bc1 = 1.0f - std::pow(beta1, static_cast<float>(adam_step_));
-  float bc2 = 1.0f - std::pow(beta2, static_cast<float>(adam_step_));
-  auto lr = static_cast<float>(learning_rate);
-  // The Adam update is elementwise — no cross-index accumulation — so it can
-  // run at any chunking without touching the numbers.
+  const float beta1 = 0.9f, beta2 = 0.999f;
+  const auto t = static_cast<float>(adam_step_);
+  f.adam = {.beta1 = beta1,
+            .beta2 = beta2,
+            .eps = 1e-8f,
+            .bc1 = 1.0f - std::pow(beta1, t),
+            .bc2 = 1.0f - std::pow(beta2, t),
+            .lr = static_cast<float>(learning_rate),
+            .inv_n = 1.0f / static_cast<float>(batch.size())};
+  // The fold and the Adam update are elementwise — no cross-index
+  // accumulation — so they run at any chunking without touching the
+  // numbers.
   DIMQR_RETURN_NOT_OK(ParallelFor(
       static_cast<std::int64_t>(params_.size()),
-      [&](std::int64_t begin, std::int64_t end, int) {
-        for (std::int64_t idx = begin; idx < end; ++idx) {
-          auto i = static_cast<std::size_t>(idx);
-          float g = grads[i] * inv_n;
-          adam_m_[i] = beta1 * adam_m_[i] + (1.0f - beta1) * g;
-          adam_v_[i] = beta2 * adam_v_[i] + (1.0f - beta2) * g * g;
-          float mhat = adam_m_[i] / bc1;
-          float vhat = adam_v_[i] / bc2;
-          params_[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-        }
+      [&f](std::int64_t begin, std::int64_t end, int) {
+        Transformer& m = f.model;
+        kernels::FoldAdam(f.ws.chunk_data.data(), f.chunks,
+                          static_cast<std::size_t>(begin),
+                          static_cast<std::size_t>(end), f.adam,
+                          m.params_.data(), m.adam_m_.data(),
+                          m.adam_v_.data());
         return Status::OK();
       }));
-  return total.loss / static_cast<double>(batch.size());
+  return loss / static_cast<double>(batch.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -650,6 +709,7 @@ Status Transformer::Forward(const int* tokens, int n, DecodeState& state,
     float *x_in = X, *x_mid = X, *ln1 = state.rows_ln_.data(), *ln2 = ln1;
     float *qkv = state.rows_qkv_.data(), *ctx = state.rows_ctx_.data();
     float *ff_pre = state.rows_ff_.data(), *ff_act = ff_pre;
+    float* ff_tanh = nullptr;
     float* att = state.att_.data();
     float *ln1_mean = nullptr, *ln1_rstd = nullptr;
     float *ln2_mean = nullptr, *ln2_rstd = nullptr;
@@ -670,6 +730,7 @@ Status Transformer::Forward(const int* tokens, int n, DecodeState& state,
       ctx = take(a.ctx, nd);
       ff_pre = take(a.ff_pre, nf);
       ff_act = take(a.ff_act, nf);
+      ff_tanh = take(a.ff_tanh, nf);
       ln1_mean = take(a.ln1_mean, static_cast<std::size_t>(n));
       ln1_rstd = take(a.ln1_rstd, static_cast<std::size_t>(n));
       ln2_mean = take(a.ln2_mean, static_cast<std::size_t>(n));
@@ -728,12 +789,14 @@ Status Transformer::Forward(const int* tokens, int n, DecodeState& state,
     o_epi.out = x_mid;
     MatMulEx(ctx, P + W.w_o, proj, n, D, D, o_epi);
     // MLP. ff_pre keeps the post-bias preactivation for backward; the GELU
-    // lands in ff_act from the same fused pass (in place when they alias).
+    // lands in ff_act from the same fused pass (in place when they alias),
+    // and training also keeps the GELU's tanh for GeluBackward.
     LayerNormRows(x_mid, P + W.ln2_g, P + W.ln2_b, ln2, n, D, ln2_mean,
                   ln2_rstd);
     Epilogue ff_epi;
     ff_epi.bias = P + W.b1;
     ff_epi.gelu_out = ff_act;
+    ff_epi.tanh_out = ff_tanh;
     MatMulEx(ln2, P + W.w1, ff_pre, n, D, F, ff_epi);
     Epilogue out_epi;
     out_epi.bias = P + W.b2;

@@ -149,7 +149,11 @@ class Transformer {
   dimqr::Result<double> Loss(const LmExample& example) const;
 
   /// \brief One Adam step over a mini-batch (gradients averaged across
-  /// examples). Returns the mean loss before the step.
+  /// examples). Returns the mean loss before the step. A warm step on one
+  /// thread allocates nothing: the chunk gradients live in the calling
+  /// thread's training workspace and each thread's forward/backward rows in
+  /// its own scratch (DESIGN.md §8). A failed step leaves the model and the
+  /// workspace as they were.
   dimqr::Result<double> TrainBatch(const std::vector<LmExample>& batch,
                                    double learning_rate);
 
@@ -248,10 +252,11 @@ class Transformer {
                         ForwardActivations* acts) const;
 
   /// Forward pass over the left-truncated example; when `grads` is non-null
-  /// also runs backward, adding parameter gradients into it. Returns the
+  /// also runs backward, adding parameter gradients into it (one float per
+  /// parameter). Runs in the calling thread's reusable scratch. Returns the
   /// mean masked CE loss, or an error for empty/oversized/invalid inputs.
   dimqr::Result<double> ForwardBackward(const LmExample& example,
-                                        AlignedVec<float>* grads) const;
+                                        float* grads) const;
 
   TransformerConfig config_;
   /// Parameter offsets — a pure function of config_, computed once at

@@ -106,10 +106,16 @@ Result<Embedding> Embedding::Train(
 
   /// Recorded deltas of one sentence: `d` floats per entry in `rows`; the
   /// low bit of a row tags the table (0 = center/emb, 1 = context).
+  /// `grad_center` is the sentence's scratch for one center word's delta.
+  /// One SentenceGrad per batch slot lives across all batches; clearing
+  /// keeps its capacity, so batches after the first rarely allocate.
   struct SentenceGrad {
     std::vector<std::size_t> rows;
     std::vector<float> deltas;
+    std::vector<float> grad_center;
   };
+  std::vector<SentenceGrad> grads(kBatch);
+  for (SentenceGrad& sg : grads) sg.grad_center.resize(d);
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     const std::size_t epoch_seen =
@@ -119,7 +125,6 @@ Result<Embedding> Embedding::Train(
       const std::size_t batch_end =
           std::min(encoded.size(), batch_start + kBatch);
       const auto bn = static_cast<std::int64_t>(batch_end - batch_start);
-      std::vector<SentenceGrad> grads(static_cast<std::size_t>(bn));
       Status st = ParallelFor(
           bn,
           [&](std::int64_t begin, std::int64_t end, int) {
@@ -127,6 +132,8 @@ Result<Embedding> Embedding::Train(
               const std::size_t si = batch_start + static_cast<std::size_t>(b);
               const std::vector<std::size_t>& ids = encoded[si];
               SentenceGrad& sg = grads[static_cast<std::size_t>(b)];
+              sg.rows.clear();
+              sg.deltas.clear();
               // Stream index: epoch-major, so every (epoch, sentence) pair
               // draws from its own decorrelated stream.
               Rng rng = Rng::ForStream(
@@ -141,7 +148,7 @@ Result<Embedding> Embedding::Train(
                 sg.deltas.resize(sg.deltas.size() + d, 0.0f);
                 return sg.deltas.data() + (sg.deltas.size() - d);
               };
-              std::vector<float> grad_center(d);
+              std::vector<float>& grad_center = sg.grad_center;
               for (std::size_t pos = 0; pos < ids.size(); ++pos) {
                 const std::size_t seen = epoch_seen + prefix[si] + pos + 1;
                 double progress =
@@ -193,7 +200,8 @@ Result<Embedding> Embedding::Train(
           /*grain=*/1);
       DIMQR_RETURN_NOT_OK(st);
       // Apply phase: serial, in sentence order, entries in recording order.
-      for (const SentenceGrad& sg : grads) {
+      for (std::size_t b = 0; b < static_cast<std::size_t>(bn); ++b) {
+        const SentenceGrad& sg = grads[b];
         for (std::size_t e = 0; e < sg.rows.size(); ++e) {
           const std::size_t row = sg.rows[e] >> 1;
           float* dst = (sg.rows[e] & 1) ? &context[row * d]

@@ -2,7 +2,8 @@
 // Step and Prefill perform ZERO heap allocations per token. The whole
 // point of the arena is that steady-state generation never touches the
 // allocator, so this test replaces global operator new/delete with
-// counting shims and asserts the counter does not move.
+// counting shims and asserts the counter does not move. The training
+// workspace makes the same promise for a warm TrainBatch.
 //
 // This test lives in its own binary (see tests/CMakeLists.txt): replacing
 // the global allocator would poison every other suite's measurements, and
@@ -17,6 +18,7 @@
 #include <new>
 #include <vector>
 
+#include "core/parallel.h"
 #include "core/snapshot.h"
 #include "lm/transformer.h"
 
@@ -186,6 +188,34 @@ TEST(DecodeAllocTest, SnapshotWeightLoadAllocatesConstant) {
   EXPECT_LT(after - before, 32u)
       << (after - before)
       << " allocations loading snapshot weights (expected a small constant)";
+#endif
+}
+
+TEST(TrainAllocTest, WarmTrainBatchAllocatesNothing) {
+#if !DIMQR_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  // One thread: the step's chunks all run on this thread, whose workspace
+  // and scratch the warm-up step has sized.
+  ScopedParallelism serial(1);
+  Transformer model = Transformer::Create(AllocTestConfig()).ValueOrDie();
+  std::vector<LmExample> batch;
+  for (int i = 0; i < 6; ++i) {
+    LmExample e;
+    const int len = 9 + 5 * i;
+    for (int t = 0; t < len; ++t) {
+      e.tokens.push_back(6 + (7 * i + t) % 40);
+      e.loss_mask.push_back(t >= len / 2 ? 1 : 0);
+    }
+    batch.push_back(std::move(e));
+  }
+  ASSERT_TRUE(model.TrainBatch(batch, 1e-3).ok());
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const bool ok = model.TrainBatch(batch, 1e-3).ok();
+  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " heap allocations in a warm training step";
 #endif
 }
 

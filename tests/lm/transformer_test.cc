@@ -7,6 +7,7 @@
 
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "core/snapshot.h"
 #include "lm/kernels.h"
 
 namespace dimqr::lm {
@@ -304,6 +305,36 @@ std::vector<double> TrainRunAt(int threads) {
   LmExample probe = pool.front();
   out.push_back(m.Loss(probe).ValueOrDie());
   return out;
+}
+
+TEST(TransformerTest, FailedBatchLeavesNoResidue) {
+  // A failing batch still runs its other chunks, which accumulate into the
+  // training workspace; the next good step must start from zero anyway.
+  // Eight examples make eight chunks, so the good step reads every chunk
+  // buffer the failed one wrote.
+  std::vector<LmExample> good;
+  for (int i = 0; i < 8; ++i) {
+    const int x = 6 + i, y = 20 - i;
+    good.push_back(MakeExample({1, x, y, 3, x, y, 2}, 4));
+  }
+  std::vector<LmExample> bad = good;
+  bad[5].loss_mask.assign(bad[5].tokens.size(), 0);  // no loss positions
+  for (int threads : {1, 2}) {
+    ScopedParallelism scope(threads);
+    Transformer failed = Transformer::Create(TinyConfig()).ValueOrDie();
+    Transformer fresh = Transformer::Create(TinyConfig()).ValueOrDie();
+    EXPECT_EQ(failed.TrainBatch(bad, 2e-3).status().code(),
+              StatusCode::kInvalidArgument);
+    const double after_failure = failed.TrainBatch(good, 2e-3).ValueOrDie();
+    const double first = fresh.TrainBatch(good, 2e-3).ValueOrDie();
+    EXPECT_EQ(after_failure, first) << threads << " threads";
+    snapshot::ArenaWriter failed_bytes, fresh_bytes;
+    failed.WriteTo(failed_bytes);
+    fresh.WriteTo(fresh_bytes);
+    EXPECT_TRUE(std::move(failed_bytes).Take() == std::move(fresh_bytes).Take())
+        << "weights, moments or step differ after a failed batch, "
+        << threads << " threads";
+  }
 }
 
 TEST(TransformerTest, TrainBatchBitForBitAcrossThreadCounts) {
