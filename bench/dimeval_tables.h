@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "eval/fleet.h"
 #include "eval/harness.h"
 #include "eval/journal.h"
 #include "eval/table.h"
@@ -18,20 +17,25 @@
 
 /// \file dimeval_tables.h
 /// Shared model-building and table-printing for Table VII / Table VIII,
-/// used by three binaries: table07_dimeval, table08_dimperc_vs_base and
-/// fleet_eval. The printers consume only DimEvalRow vectors, so a table
-/// produced by the single-process harness and one merged from a worker
-/// fleet go through byte-identical formatting — the property the
-/// fleet-chaos CI job diffs.
+/// used by table07_dimeval and table08_dimperc_vs_base. The printers
+/// consume only DimEvalRow vectors.
 
 namespace dimqr::benchtables {
 
-/// \brief The models of one table, in row order, ready for either
-/// eval::EvaluateOnDimEval or eval::RunFleetDimEval. `annotator_extractor`
-/// owns the extractor the specs point at (heap-held so the struct can be
-/// moved without dangling the pointers).
+/// \brief One table row's model and its extraction path: a
+/// concurrent-safe extractor (e.g. AnnotatorExtractor) or nullptr for the
+/// model-backed Model::ExtractQuantities path.
+struct ModelSpec {
+  std::shared_ptr<lm::Model> model;
+  const eval::Extractor* extractor = nullptr;
+};
+
+/// \brief The models of one table, in row order, ready for
+/// eval::EvaluateOnDimEval. `annotator_extractor` owns the extractor the
+/// specs point at (heap-held so the struct can be moved without dangling
+/// the pointers).
 struct DimEvalTableModels {
-  std::vector<eval::FleetModelSpec> specs;
+  std::vector<ModelSpec> specs;
   std::shared_ptr<eval::Extractor> annotator_extractor;
 };
 
@@ -102,15 +106,15 @@ inline DimEvalTableModels BuildTable08Models(
   return out;
 }
 
-/// \brief Evaluates every model single-process (the classic table path),
-/// returning rows in spec order. Journaling and progress tags match the
-/// original table binaries.
+/// \brief Evaluates every model, returning rows in spec order. Progress
+/// goes to stderr under `tag`; a non-null `journal` checkpoints each
+/// completed task and replays journaled ones.
 inline std::vector<eval::DimEvalRow> EvaluateDimEvalRows(
     const DimEvalTableModels& models, const dimeval::DimEvalBenchmark& bench,
     eval::EvalJournal* journal, const char* tag) {
   std::vector<eval::DimEvalRow> rows;
   rows.reserve(models.specs.size());
-  for (const eval::FleetModelSpec& spec : models.specs) {
+  for (const ModelSpec& spec : models.specs) {
     std::fprintf(stderr, "[%s] evaluating %s...\n", tag,
                  spec.model->name().c_str());
     rows.push_back(eval::EvaluateOnDimEval(*spec.model, bench, spec.extractor,

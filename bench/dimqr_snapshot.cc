@@ -43,21 +43,21 @@ using namespace dimqr;
 // unsupported version, build error), 2 = usage, 3 = filesystem I/O error
 // (missing/unreadable file), 4 = corruption (CRC mismatch, truncation,
 // out-of-bounds sections — anything kDataLoss).
-constexpr int kExitFailure = 1;
-constexpr int kExitUsage = 2;
-constexpr int kExitIOError = 3;
-constexpr int kExitCorrupt = 4;
+constexpr int kFailureExitCode = 1;
+constexpr int kUsageExitCode = 2;
+constexpr int kIOErrorExitCode = 3;
+constexpr int kCorruptExitCode = 4;
 
 int Fail(const Status& status, const char* what) {
   std::fprintf(stderr, "dimqr_snapshot: %s: %s\n", what,
                status.ToString().c_str());
   switch (status.code()) {
     case StatusCode::kIOError:
-      return kExitIOError;
+      return kIOErrorExitCode;
     case StatusCode::kDataLoss:
-      return kExitCorrupt;
+      return kCorruptExitCode;
     default:
-      return kExitFailure;
+      return kFailureExitCode;
   }
 }
 
@@ -187,5 +187,5 @@ int main(int argc, char** argv) {
                "exit codes: 0 ok, 1 other failure, 2 usage, 3 I/O error, "
                "4 corrupt snapshot\n",
                argv[0], argv[0]);
-  return kExitUsage;
+  return kUsageExitCode;
 }

@@ -15,7 +15,6 @@
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "dimeval/generators.h"
-#include "eval/fleet.h"
 #include "eval/harness.h"
 #include "lm/kernels.h"
 #include "lm/mock_llm.h"
@@ -340,42 +339,6 @@ void BM_EvalDimEvalFaulty(benchmark::State& state) {
   FaultRegistry::Global().Clear();
 }
 BENCHMARK(BM_EvalDimEvalFaulty)->Arg(0)->Arg(20);
-
-void BM_FleetEval(benchmark::State& state) {
-  // Fork/supervise/merge overhead of the process fleet as the worker count
-  // grows: the simulated Table VII baselines over a small DimEval build,
-  // fanned out over range(0) forked workers. The models are calibrated
-  // samplers, so per-item work is small and the fleet machinery (fork,
-  // pipes, frame parsing, payload merge) dominates the scaling curve. On a
-  // single-core host the >1 entries measure supervision overhead rather
-  // than speedup.
-  static const dimeval::DimEvalBenchmark* const kBench = [] {
-    dimeval::BenchmarkOptions options;
-    options.train_per_task = 8;
-    options.test_per_task = 24;
-    options.extraction_corpus_sentences = 120;
-    return new dimeval::DimEvalBenchmark(
-        dimeval::BuildDimEval(benchutil::GetKb(), benchutil::GetAnnotator(),
-                              options)
-            .ValueOrDie());
-  }();
-  std::vector<eval::FleetModelSpec> specs;
-  for (const std::shared_ptr<lm::Model>& model : lm::BuildPaperBaselines()) {
-    if (model->name() == "BertGen" || model->name() == "LLaMa") continue;
-    specs.push_back({model, nullptr});
-  }
-  eval::FleetEvalOptions options;
-  options.workers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto rows = eval::RunFleetDimEval(specs, *kBench, options);
-    if (!rows.ok()) {
-      state.SkipWithError("fleet eval failed");
-      return;
-    }
-    benchmark::DoNotOptimize(rows.ValueOrDie().size());
-  }
-}
-BENCHMARK(BM_FleetEval)->DenseRange(1, 8)->UseRealTime();
 
 // ---------------------------------------------------------------------
 // Inference fast path: batched prefill and greedy decode through a reused

@@ -5,8 +5,7 @@
 // shape: DimPerc dominates dimension- and scale-perception tasks.
 //
 // Model building and printing live in bench/dimeval_tables.h, shared with
-// fleet_eval: this binary is the single-process reference whose stdout the
-// fleet-chaos CI job byte-diffs against the multi-process run.
+// table08.
 
 #include <iostream>
 #include <string_view>

@@ -5,7 +5,7 @@
 // (Section IV-D). The expected shape: large gains in every category.
 //
 // Model building and printing live in bench/dimeval_tables.h, shared with
-// fleet_eval (same byte-diff contract as table07).
+// table07.
 
 #include <iostream>
 #include <string_view>

@@ -21,9 +21,8 @@ set -e
 cd "$(dirname "$0")"
 
 # An interrupted run must not leave strays behind: the resident smoke test
-# backgrounds probe processes, and fleet_eval forks worker processes (which
-# die with their supervisor via PDEATHSIG, so reaping our direct children
-# is enough to take the whole tree down).
+# backgrounds probe processes, and reaping our direct children takes them
+# down.
 trap 'pkill -P $$ 2>/dev/null || true' EXIT INT TERM
 
 cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release \

@@ -16,11 +16,6 @@ int DefaultAfterN(FaultKind kind) {
       return 2;
     case FaultKind::kLatency:
       return 8;
-    case FaultKind::kSigkill:
-    case FaultKind::kExit:
-      // One crash per affected call by default: the shard's first retry
-      // gets past it, so every chaos run terminates.
-      return 1;
     default:
       return 0;
   }
@@ -31,11 +26,9 @@ Result<FaultKind> ParseKind(std::string_view word) {
   if (word == "permanent") return FaultKind::kPermanent;
   if (word == "latency") return FaultKind::kLatency;
   if (word == "garbled") return FaultKind::kGarbled;
-  if (word == "sigkill") return FaultKind::kSigkill;
-  if (word == "exit") return FaultKind::kExit;
   return Status::ParseError("unknown fault kind '" + std::string(word) +
                             "' (expected transient|permanent|latency|"
-                            "garbled|sigkill|exit)");
+                            "garbled)");
 }
 
 /// Registered FAULT_POINT names. Guarded by its own mutex: registration
@@ -64,10 +57,6 @@ std::string_view FaultKindToString(FaultKind kind) {
       return "latency";
     case FaultKind::kGarbled:
       return "garbled";
-    case FaultKind::kSigkill:
-      return "sigkill";
-    case FaultKind::kExit:
-      return "exit";
   }
   return "unknown";
 }
@@ -203,13 +192,6 @@ FaultDecision FaultRegistry::Evaluate(std::string_view site,
       break;
     case FaultKind::kGarbled:
       decision.kind = FaultKind::kGarbled;
-      break;
-    case FaultKind::kSigkill:
-    case FaultKind::kExit:
-      // Crash kinds gate on the attempt index exactly like transient: the
-      // supervisor passes the shard's crash count as `attempt`, so an
-      // affected call kills its process after_n times, then proceeds.
-      if (attempt < fault.after_n) decision.kind = fault.kind;
       break;
     case FaultKind::kNone:
       break;

@@ -43,14 +43,6 @@
 ///     deadline.
 ///   - garbled: the backend "responds" but the payload is corrupted; the
 ///     caller substitutes a deterministically garbled answer.
-///   - sigkill: the *process* hosting the call dies mid-work — the caller
-///     (a fleet worker; see core/proc.h) raises SIGKILL on itself, so the
-///     supervisor sees a hard crash with no cleanup. Gated like transient:
-///     attempts 0..after_n-1 of an affected call kill, attempt after_n
-///     proceeds (default after_n = 1), so a crashed shard's retry makes
-///     progress and the run still terminates.
-///   - exit: like sigkill but via _exit(1) — a worker that dies "politely"
-///     (closes its pipe via process teardown) without reporting a result.
 
 namespace dimqr {
 
@@ -61,8 +53,6 @@ enum class FaultKind : std::uint8_t {
   kPermanent,  ///< Non-retryable kInternal failure on every attempt.
   kLatency,    ///< Extra simulated clock ticks; success otherwise.
   kGarbled,    ///< Success with a corrupted payload.
-  kSigkill,    ///< Host process raises SIGKILL on itself (fleet chaos).
-  kExit,       ///< Host process _exit(1)s without reporting (fleet chaos).
 };
 
 /// Human-readable kind name ("transient", ...).
@@ -72,9 +62,8 @@ std::string_view FaultKindToString(FaultKind kind);
 struct FaultSpec {
   double probability = 0.0;
   FaultKind kind = FaultKind::kNone;
-  /// kTransient/kSigkill/kExit: number of leading attempts that fail (or
-  /// kill the process) per affected call. kLatency: maximum ticks added per
-  /// affected attempt. Unused otherwise.
+  /// kTransient: number of leading attempts that fail per affected call.
+  /// kLatency: maximum ticks added per affected attempt. Unused otherwise.
   int after_n = 0;
 };
 

@@ -157,14 +157,6 @@ ExtractionMetrics EvaluateExtraction(
   return result.ValueOrDie();
 }
 
-void ApplyExtractionToRow(const ExtractionMetrics& metrics, DimEvalRow& row) {
-  if (metrics.qe.true_positive + metrics.qe.false_positive > 0) {
-    row.qe_f1 = metrics.qe.F1();
-    row.ve_f1 = metrics.ve.F1();
-    row.ue_f1 = metrics.ue.F1();
-  }
-}
-
 std::span<const char* const> DimEvalChoiceTasks() {
   static const char* const kTasks[] = {
       kQuantityKindMatch,   kComparableAnalysis, kDimensionPrediction,
@@ -173,6 +165,17 @@ std::span<const char* const> DimEvalChoiceTasks() {
 }
 
 namespace {
+
+/// Applies extraction counts (measured or journaled) to a row's QE/VE/UE
+/// cells. "-" rows: a model with no extraction path produced no
+/// predictions at all; left as not-evaluated rather than zero.
+void ApplyExtractionToRow(const ExtractionMetrics& metrics, DimEvalRow& row) {
+  if (metrics.qe.true_positive + metrics.qe.false_positive > 0) {
+    row.qe_f1 = metrics.qe.F1();
+    row.ve_f1 = metrics.ve.F1();
+    row.ue_f1 = metrics.ue.F1();
+  }
+}
 
 /// Journal write failures are warnings, not fatal: the evaluation result
 /// in hand is still good, only resumability degrades.

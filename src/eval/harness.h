@@ -75,15 +75,8 @@ struct DimEvalRow {
   std::map<std::string, ChoiceMetrics> choice;
 };
 
-/// \brief Applies extraction counts (measured or journaled) to a row's
-/// QE/VE/UE cells. "-" rows: a model with no extraction path produced no
-/// predictions at all; left as not-evaluated rather than zero. Shared by
-/// EvaluateOnDimEval and the fleet merge (eval/fleet.h) so both paths
-/// derive cells from counts identically.
-void ApplyExtractionToRow(const ExtractionMetrics& metrics, DimEvalRow& row);
-
-/// \brief The six choice tasks in the fixed order EvaluateOnDimEval (and
-/// the fleet's shard planner) evaluates them.
+/// \brief The six choice tasks in the fixed order EvaluateOnDimEval
+/// evaluates them.
 std::span<const char* const> DimEvalChoiceTasks();
 
 /// \brief Runs a model over all DimEval test splits. When `extractor` is

@@ -45,6 +45,8 @@ TEST_F(FaultTest, ConfigureRejectsMalformedSpecsAtomically) {
       "a:1:flaky",            // unknown kind
       "a:1:transient:0",      // after_n must be >= 1
       "a:1:transient:nope",   // after_n not a number
+      "a:1:sigkill",          // unknown kind
+      "a:1:exit",             // unknown kind
   };
   for (const char* spec : bad) {
     Status st = FaultRegistry::Global().Configure(spec);
@@ -155,41 +157,6 @@ TEST_F(FaultTest, KindNamesRoundTrip) {
   EXPECT_EQ(FaultKindToString(FaultKind::kPermanent), "permanent");
   EXPECT_EQ(FaultKindToString(FaultKind::kLatency), "latency");
   EXPECT_EQ(FaultKindToString(FaultKind::kGarbled), "garbled");
-  EXPECT_EQ(FaultKindToString(FaultKind::kSigkill), "sigkill");
-  EXPECT_EQ(FaultKindToString(FaultKind::kExit), "exit");
-}
-
-TEST_F(FaultTest, CrashKindsParse) {
-  ASSERT_TRUE(FaultRegistry::Global().Configure("site:1:sigkill").ok());
-  EXPECT_EQ(FaultRegistry::Global().Evaluate("site", 7, 0).kind,
-            FaultKind::kSigkill);
-  ASSERT_TRUE(FaultRegistry::Global().Configure("site:1:exit").ok());
-  EXPECT_EQ(FaultRegistry::Global().Evaluate("site", 7, 0).kind,
-            FaultKind::kExit);
-}
-
-TEST_F(FaultTest, CrashKindsStopAfterOneByDefault) {
-  // Default after_n = 1 for the crash kinds: the first attempt dies, the
-  // shard's retry gets past it — every chaos run terminates.
-  ASSERT_TRUE(FaultRegistry::Global().Configure("site:1:sigkill").ok());
-  EXPECT_EQ(FaultRegistry::Global().Evaluate("site", 7, 0).kind,
-            FaultKind::kSigkill);
-  EXPECT_EQ(FaultRegistry::Global().Evaluate("site", 7, 1).kind,
-            FaultKind::kNone);
-}
-
-TEST_F(FaultTest, CrashKindsHonorExplicitAfterN) {
-  // `site:1:sigkill:3` crashes three consecutive attempts — the acceptance
-  // scenario for supervisor reassignment (a shard that outlives one
-  // worker slot's whole crash budget).
-  ASSERT_TRUE(FaultRegistry::Global().Configure("site:1:sigkill:3").ok());
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    EXPECT_EQ(FaultRegistry::Global().Evaluate("site", 7, attempt).kind,
-              FaultKind::kSigkill)
-        << attempt;
-  }
-  EXPECT_EQ(FaultRegistry::Global().Evaluate("site", 7, 3).kind,
-            FaultKind::kNone);
 }
 
 }  // namespace
